@@ -1,4 +1,4 @@
-"""Engine throughput bench: scalar loops, batched engine, sharded fleet.
+"""Engine throughput bench: scalar loops, batched engine, process fleet.
 
 Records the headline numbers into ``BENCH_engine.json`` at the repo
 root **only when** ``REPRO_BENCH_RECORD=1`` is set (the CI bench job
@@ -10,9 +10,6 @@ sets it; a plain pytest run must not dirty the working tree):
 * Monte Carlo MEP analysis throughput — samples per second for the
   seed's per-sample solve loop versus the single ``(N, S)`` energy-grid
   evaluation,
-* sharded fleet throughput — die-cycles per second of the single-shard
-  engine versus a multi-worker :class:`FleetEngine` (plus the
-  bit-identity check between the two),
 * the step-kernel sweep — legacy vs fused vs fused+tabulated
   die-cycles/s on the dense 512-die closed loop and the 256-die
   streaming configuration (the PR-3 ``step_kernel`` section),
@@ -22,17 +19,18 @@ sets it; a plain pytest run must not dirty the working tree):
   bounded slice and extrapolated — streaming throughput is cycle-count
   independent),
 * the persistent-fleet overhead sweep (the PR-6 ``fleet.persistent``
-  section) — resident thread and process fleets at the resolved worker
-  count versus a warm single engine, with a <= 1.10x dispatch-overhead
-  bar that asserts even on 1 CPU,
+  section) — a resident process fleet at the resolved worker count
+  versus a warm single engine, with a <= 1.10x dispatch-overhead bar
+  that asserts even on 1 CPU,
 * the process-fleet sweep (the PR-4 ``procfleet`` section) — the
-  shared-memory ``executor="process"`` backend versus a single shard,
-  with the same CPU-gated scaling bar as the thread fleet and an
+  shared-memory ``executor="process"`` backend, the fleet's parallel
+  backend, versus a single shard, with a CPU-gated scaling bar and an
   unconditional bit-identity smoke.
 
 The batched speedup bars assert on every run; the fleet *scaling* bar
 only where it is physically meaningful (>= 2 CPUs).  The fleet parity
-check (sharded == single shard, bit for bit) runs unconditionally.
+checks (sharded == single shard, bit for bit, on the serial and the
+process backend) run unconditionally.
 """
 
 import json
@@ -73,8 +71,8 @@ SYSTEM_PERIOD = 1e-6
 FLEET_BENCH_DIES = 4096
 FLEET_BENCH_CYCLES = 200
 # 4096 dies keeps each shard numpy-dominated: the engine has a fixed
-# ~1 ms/cycle Python dispatch cost per shard, so thread scaling needs
-# shards large enough that the GIL-released kernel time dwarfs it.
+# ~1 ms/cycle Python dispatch cost per shard, so parallel scaling needs
+# shards large enough that the kernel time dwarfs it.
 
 LONG_RUN_DIES = 256
 LONG_RUN_CYCLES = int(
@@ -125,48 +123,11 @@ def reference_lut(library):
     return program_lut_for_load(reference_load, sample_rate=1e5)
 
 
-def _fleet_bench(library, reference_lut):
-    """Single-shard engine versus the sharded multi-worker fleet."""
-    samples = MonteCarloSampler(seed=23).draw_arrays(FLEET_BENCH_DIES)
-    population = BatchPopulation.from_samples(library, samples)
-    # A shared (cycles,) arrival vector broadcasts with zero copies.
-    arrivals = constant_arrival_matrix(
-        [ARRIVAL_RATE], SYSTEM_PERIOD, FLEET_BENCH_CYCLES
-    )[0]
-
-    def single_shard():
-        BatchEngine(population, lut=reference_lut).run(
-            arrivals, FLEET_BENCH_CYCLES, sink=NullTrace()
-        )
-
-    def sharded():
-        FleetEngine(
-            population,
-            reference_lut,
-            fleet=FleetConfig(workers=FLEET_WORKERS, telemetry="null"),
-        ).run(arrivals, FLEET_BENCH_CYCLES)
-
-    single_seconds = _best_of(single_shard)
-    sharded_seconds = _best_of(sharded)
-    die_cycles = FLEET_BENCH_DIES * FLEET_BENCH_CYCLES
-    return {
-        "dies": FLEET_BENCH_DIES,
-        "system_cycles": FLEET_BENCH_CYCLES,
-        "workers": FLEET_WORKERS,
-        "single_shard_seconds": single_seconds,
-        "sharded_seconds": sharded_seconds,
-        "single_shard_die_cycles_per_second": die_cycles / single_seconds,
-        "sharded_die_cycles_per_second": die_cycles / sharded_seconds,
-        "speedup": single_seconds / sharded_seconds,
-    }
-
-
 def _process_fleet_bench(library, reference_lut):
     """Single-shard engine versus the shared-memory process fleet.
 
-    Unlike the thread bench (which rebuilds its fleet per repeat), the
-    process fleet is built **once** and its pool/shared-memory warmed
-    outside the timed region: pool startup and segment creation are
+    The process fleet is built **once** and its pool/shared-memory
+    warmed outside the timed region: pool startup and segment creation are
     per-fleet costs that amortise over a fleet's lifetime, while the
     per-run cost — task dispatch, shard execution, result pickling — is
     what the executor choice actually changes.
@@ -262,17 +223,17 @@ def _persistent_fleet_bench(library, reference_lut):
     """Dispatch overhead of a *persistent* fleet vs a warm single engine.
 
     The question this section answers is different from the cold
-    ``fleet``/``procfleet`` speedup sweeps: not "does sharding scale?"
+    ``procfleet`` speedup sweep: not "does sharding scale?"
     but "what does the fleet *abstraction* cost per run once workers
     are resident?".  Everything is warm on both sides — the single
     ``BatchEngine`` is built and warmed once and only ``run()`` is
-    timed; the fleets are built at the **resolved** worker count
+    timed; the process fleet is built at the **resolved** worker count
     (``workers=None``, i.e. the CPUs actually available, so on a 1-CPU
-    container this is one shard), their residents started and kernels
+    container this is one shard), its residents started and kernels
     warmed by a 1-cycle run, and then only the steady-state ``run()``
-    round-trip is timed.  The headline ``thread_overhead`` /
-    ``process_overhead`` ratios must stay <= 1.10 on any machine,
-    including 1 CPU — that is the RECORD-gated bar.
+    round-trip is timed.  The headline ``process_overhead`` ratio must
+    stay <= 1.10 on any machine, including 1 CPU — that is the
+    RECORD-gated bar.
 
     Forced ``FLEET_WORKERS``-worker numbers (the geometry the cold
     sweeps use, oversubscribed on small containers) and a chunked
@@ -291,12 +252,12 @@ def _persistent_fleet_bench(library, reference_lut):
         lambda: engine.run(arrivals, FLEET_BENCH_CYCLES, sink=NullTrace())
     )
 
-    def persistent(executor, workers):
+    def persistent(workers):
         fleet = FleetEngine(
             population,
             reference_lut,
             fleet=FleetConfig(
-                workers=workers, telemetry="null", executor=executor
+                workers=workers, telemetry="null", executor="process"
             ),
         )
         try:
@@ -314,14 +275,8 @@ def _persistent_fleet_bench(library, reference_lut):
         return run_seconds, chunked_seconds
 
     resolved = FleetConfig(telemetry="null").resolved_workers()
-    thread_seconds, thread_chunked = persistent("thread", None)
-    process_seconds, process_chunked = persistent("process", None)
-    forced_thread, forced_thread_chunked = persistent(
-        "thread", FLEET_WORKERS
-    )
-    forced_process, forced_process_chunked = persistent(
-        "process", FLEET_WORKERS
-    )
+    process_seconds, process_chunked = persistent(None)
+    forced_process, forced_process_chunked = persistent(FLEET_WORKERS)
     die_cycles = FLEET_BENCH_DIES * FLEET_BENCH_CYCLES
     return {
         "dies": FLEET_BENCH_DIES,
@@ -330,20 +285,13 @@ def _persistent_fleet_bench(library, reference_lut):
         "resolved_workers": resolved,
         "single_warm_seconds": single_seconds,
         "single_warm_die_cycles_per_second": die_cycles / single_seconds,
-        "thread_seconds": thread_seconds,
         "process_seconds": process_seconds,
-        "thread_overhead": thread_seconds / single_seconds,
         "process_overhead": process_seconds / single_seconds,
-        "thread_chunked_seconds": thread_chunked,
         "process_chunked_seconds": process_chunked,
-        "thread_chunked_overhead": thread_chunked / single_seconds,
         "process_chunked_overhead": process_chunked / single_seconds,
         "forced_workers": FLEET_WORKERS,
-        "forced_thread_seconds": forced_thread,
         "forced_process_seconds": forced_process,
-        "forced_thread_overhead": forced_thread / single_seconds,
         "forced_process_overhead": forced_process / single_seconds,
-        "forced_thread_chunked_seconds": forced_thread_chunked,
         "forced_process_chunked_seconds": forced_process_chunked,
     }
 
@@ -534,13 +482,12 @@ def bench_results(library, reference_lut):
         # stays fast and leaves the committed BENCH_engine.json
         # untouched.
         results["step_kernel"] = _step_kernel_bench(library, reference_lut)
-        results["fleet"] = _fleet_bench(library, reference_lut)
-        results["fleet"]["streaming_long_run"] = _streaming_long_run(
-            library, reference_lut
-        )
-        results["fleet"]["persistent"] = _persistent_fleet_bench(
-            library, reference_lut
-        )
+        results["fleet"] = {
+            "streaming_long_run": _streaming_long_run(
+                library, reference_lut
+            ),
+            "persistent": _persistent_fleet_bench(library, reference_lut),
+        }
         results["procfleet"] = _process_fleet_bench(library, reference_lut)
         RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     return results
@@ -613,34 +560,6 @@ def test_sharded_fleet_matches_single_shard(library, reference_lut):
         )
 
 
-@pytest.mark.skipif(
-    not RECORD, reason="fleet timing sweep needs REPRO_BENCH_RECORD=1"
-)
-def test_fleet_speedup_bar(bench_results):
-    """Acceptance: >= 1.5x die-cycles/s over single-core at 4 workers.
-
-    Thread-level scaling is physically impossible on a single-CPU
-    machine (the bit-identity contract is still asserted above), so the
-    scaling bar applies where >= 2 CPUs are available.
-    """
-    fleet = bench_results["fleet"]
-    print(
-        f"\nFleet: {fleet['single_shard_die_cycles_per_second']:8.0f} "
-        f"die-cycles/s single shard vs "
-        f"{fleet['sharded_die_cycles_per_second']:8.0f} die-cycles/s at "
-        f"{fleet['workers']} workers ({fleet['speedup']:.2f}x)"
-    )
-    cpus = os.cpu_count() or 1
-    if cpus < 2:
-        pytest.skip("single-CPU machine: no parallel speedup available")
-    if FLEET_WORKERS >= 4 and cpus >= 4:
-        assert fleet["speedup"] >= 1.5
-    else:
-        # Fewer workers/CPUs (e.g. the CI smoke at 2 workers): threading
-        # must still pay for its own sharding overhead.
-        assert fleet["speedup"] >= 1.1
-
-
 def test_process_fleet_matches_single_shard(library, reference_lut):
     """Process-backend determinism smoke (always runs): the
     shared-memory process fleet is bit-identical to a single-shard
@@ -689,9 +608,9 @@ def test_process_fleet_matches_single_shard(library, reference_lut):
     not RECORD, reason="process fleet sweep needs REPRO_BENCH_RECORD=1"
 )
 def test_process_fleet_speedup_bar(bench_results):
-    """Acceptance: the process fleet scales like the thread bar where
-    scaling is physically possible (>= 2 CPUs); bit-identity is
-    asserted unconditionally above."""
+    """Acceptance: the process fleet scales where scaling is physically
+    possible (>= 2 CPUs); bit-identity is asserted unconditionally
+    above."""
     fleet = bench_results["procfleet"]
     print(
         f"\nProcess fleet: "
@@ -814,14 +733,7 @@ def test_bench_record_has_fleet_section():
     """The committed BENCH_engine.json carries the fleet results."""
     record = json.loads(RESULT_PATH.read_text())
     fleet = record["fleet"]
-    for key in (
-        "single_shard_die_cycles_per_second",
-        "sharded_die_cycles_per_second",
-        "speedup",
-        "workers",
-        "streaming_long_run",
-        "persistent",
-    ):
+    for key in ("streaming_long_run", "persistent"):
         assert key in fleet
     long_run = fleet["streaming_long_run"]
     assert long_run["streaming_buffer_bytes"] < (
@@ -847,13 +759,10 @@ def test_persistent_fleet_overhead_bar(bench_results):
     print(
         f"\nPersistent fleet ({persistent['resolved_workers']} resolved "
         f"workers): warm single "
-        f"{persistent['single_warm_seconds']:.3f}s vs thread "
-        f"{persistent['thread_seconds']:.3f}s "
-        f"({persistent['thread_overhead']:.3f}x) vs process "
+        f"{persistent['single_warm_seconds']:.3f}s vs process "
         f"{persistent['process_seconds']:.3f}s "
         f"({persistent['process_overhead']:.3f}x)"
     )
-    assert persistent["thread_overhead"] <= 1.10
     assert persistent["process_overhead"] <= 1.10
 
 
@@ -866,18 +775,13 @@ def test_bench_record_has_persistent_section():
     for key in (
         "resolved_workers",
         "single_warm_seconds",
-        "thread_seconds",
         "process_seconds",
-        "thread_overhead",
         "process_overhead",
-        "thread_chunked_overhead",
         "process_chunked_overhead",
         "forced_workers",
-        "forced_thread_overhead",
         "forced_process_overhead",
     ):
         assert key in persistent
-    assert persistent["thread_overhead"] <= 1.10
     assert persistent["process_overhead"] <= 1.10
     long_run = record["fleet"]["streaming_long_run"]
     # Satellite: RECORD runs time a bounded slice and extrapolate.

@@ -5,10 +5,11 @@ warm fleet instead of rebuilding one (re-sharding the population,
 re-spawning workers, re-creating shared memory) per tick.  This file
 gates that claim on every host: a persistent fleet's steady-state
 ``run()`` round-trip must not be slower than the cold
-build-run-teardown path it replaces, for both executors.  Like the
-kernel smoke, the gate is purely **relative** with interleaved best-of
-rounds — no absolute wall-clock bars — so the single-CPU dev container
-and CI runners of any speed stay green.  The CI workflow runs this
+build-run-teardown path it replaces, on the process executor (the only
+backend with workers to keep resident).  Like the kernel smoke, the
+gate is purely **relative** with interleaved best-of rounds — no
+absolute wall-clock bars — so the single-CPU dev container and CI
+runners of any speed stay green.  The CI workflow runs this
 file (with ``REPRO_FLEET_WORKERS=2``) as a dedicated step on every
 matrix job, alongside the persistent bit-identity smoke below.
 """
@@ -92,7 +93,7 @@ def _interleaved_best(series, rounds=3):
     return best
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["process"])
 def test_persistent_dispatch_not_slower_than_cold(smoke_setup, executor):
     """Relative gate: a resident fleet's ``run()`` must not cost more
     than cold build-run-teardown of the same fleet on the same host."""

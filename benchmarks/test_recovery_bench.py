@@ -8,8 +8,8 @@ Two same-host, relative measurements (no absolute wall-clock bars):
   bit-identical telemetry.  The overhead is one respawn (fork + shm
   re-attach) plus the replay of the rounds recorded before the crash —
   crashing in round one makes the respawn cost itself the measurement.
-* **degraded serial** — a service whose process and thread rungs are
-  force-failed must keep serving from the serial rung, bit-identical
+* **degraded serial** — a service whose process rung is force-failed
+  must keep serving from the serial rung, bit-identical
   to direct execution, and its degraded throughput is recorded so the
   floor is visible in ``BENCH_engine.json``.
 
@@ -193,8 +193,8 @@ def _service_requests():
 
 @pytest.fixture(scope="module")
 def degraded_bench(library):
-    """Force-fail the process and thread rungs and time the serial
-    floor the service degrades to."""
+    """Force-fail the process rung and time the serial floor the
+    service degrades to."""
     requests = _service_requests()
 
     direct = SimulationService(
@@ -209,10 +209,6 @@ def degraded_bench(library):
             (
                 FaultSpec(
                     kind="raise", scope="service", executor="process",
-                    times=0,
-                ),
-                FaultSpec(
-                    kind="raise", scope="service", executor="thread",
                     times=0,
                 ),
             )

@@ -160,9 +160,10 @@ def monte_carlo_closed_loop(
     bit-exact device math for interpolated response tables — the right
     choice for very large fleets or very long horizons (see
     :mod:`repro.engine.response_tables`).  ``executor`` overrides the
-    fleet's executor backend (``"serial"``/``"thread"``/``"process"``);
-    every backend produces bit-identical results, so the choice is
-    purely a throughput decision.
+    fleet's executor backend: ``"serial"`` (the default, in-process) or
+    ``"process"`` (parallel, for large fleets); both produce
+    bit-identical results, so the choice is purely a throughput
+    decision.
     """
     if dies <= 0 or cycles <= 0:
         raise ValueError("dies and cycles must be positive")

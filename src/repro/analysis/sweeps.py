@@ -322,8 +322,8 @@ def closed_loop_corner_sweep(
     as a :class:`~repro.engine.fleet.FleetEngine` with streaming
     telemetry by default; ``device_model="tabulated"`` swaps the exact
     per-cycle device math for interpolated response tables, and
-    ``executor`` picks the fleet backend
-    (``"serial"``/``"thread"``/``"process"`` — bit-identical results).
+    ``executor`` picks the fleet backend (``"serial"``/``"process"`` —
+    bit-identical results).
     """
     if cycles <= 0:
         raise ValueError("cycles must be positive")

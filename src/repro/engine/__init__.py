@@ -14,7 +14,7 @@ advances (or analyses) all of them simultaneously.
 ``response_tables``  :class:`ResponseTables` — tabulated per-die device
                      response (opt-in ``device_model="tabulated"``)
 ``fleet``            :class:`FleetEngine` — sharded execution on a
-                     serial / thread / process executor backend
+                     serial / process executor backend
 ``procfleet``        the process backend: shared-memory population
                      state + worker-pool shard execution
 ``mep``              batched minimum-energy-point grid analysis
@@ -50,7 +50,7 @@ _PROCFLEET_EXPORTS = (
 
 def __getattr__(name: str):
     # The process backend (multiprocessing / shared_memory machinery)
-    # loads lazily: serial/thread-only users never pay its import cost,
+    # loads lazily: serial-only users never pay its import cost,
     # matching the deferred import inside FleetEngine.__init__.
     if name in _PROCFLEET_EXPORTS:
         from repro.engine import procfleet

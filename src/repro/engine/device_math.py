@@ -273,7 +273,7 @@ class BatchDeviceSet:
 
         The shard shares memory with the parent arrays (numpy views);
         the engine never mutates device parameters, so views are safe to
-        evaluate from concurrent worker threads.
+        share between shard engines.
         """
         from dataclasses import fields
 

@@ -4,27 +4,24 @@
 population into contiguous die shards and advances the shards on an
 executor backend chosen by :attr:`FleetConfig.executor`:
 
-* ``"serial"`` — shards run sequentially in the calling thread (the
-  zero-overhead baseline, and what the other backends must match bit
-  for bit),
-* ``"thread"`` (default) — a resident team of pinned worker threads
-  (:class:`_ResidentThreadTeam`), spun up once per fleet; numpy
-  releases the GIL inside the hot elementwise kernels, so shards
-  overlap on multi-core machines,
-* ``"process"`` — resident worker *processes* with the population
-  state in shared memory (:mod:`repro.engine.procfleet`); sidesteps
-  the GIL entirely, for populations where per-cycle cost is numpy
-  **dispatch** rather than array arithmetic.
+* ``"serial"`` (default) — shards run one after another in the calling
+  thread: the in-process baseline, with nothing to start or close, and
+  what the process backend must match bit for bit,
+* ``"process"`` — the parallel backend: resident worker *processes*
+  with the population state in shared memory
+  (:mod:`repro.engine.procfleet`).  Separate interpreters sidestep the
+  GIL, on which the engine's many small per-cycle numpy calls would
+  otherwise serialise.
 
-Both parallel backends are **resident**: workers start on the first
-parallel run, stay pinned to a fixed shard subset, and every subsequent
-call costs only one lightweight command/ack round-trip per worker — no
-executor construction, no state re-fan-out.  :meth:`FleetEngine.run_chunked`
-amortises even that round-trip over ``chunk`` system cycles at a time,
-and :meth:`FleetEngine.reset` returns a live fleet to its
-cold-construction state (optionally swapping in a new same-size
-population) so one fleet serves many logically independent runs —
-bit-identically to building a fresh fleet each time.
+Process workers are **resident**: they start on the first run, stay
+pinned to a fixed shard subset, and every subsequent call costs only
+one lightweight command/ack round-trip per worker — no pool
+construction, no state re-fan-out.  :meth:`FleetEngine.run_chunked`
+splits a horizon into ``chunk``-cycle rounds (:meth:`FleetEngine.run`
+is its one-chunk case), and :meth:`FleetEngine.reset` returns a live
+fleet to its cold-construction state (optionally swapping in a new
+same-size population) so one fleet serves many logically independent
+runs — bit-identically to building a fresh fleet each time.
 
 Because every per-die quantity the engine computes is elementwise
 across dies — no cross-die reduction anywhere in the cycle loop — a
@@ -49,11 +46,9 @@ by :attr:`FleetConfig.telemetry`:
 from __future__ import annotations
 
 import os
-import queue
-import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,7 +75,7 @@ from repro.faults import (
 
 TELEMETRY_MODES = ("dense", "streaming", "null")
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 """Executor backends a fleet can run its shards on."""
 
 
@@ -102,15 +97,15 @@ class FleetConfig:
     stream_window: int = 64
     """Ring-buffer rows kept per channel in streaming mode."""
 
-    executor: str = "thread"
-    """Executor backend: ``"serial"``, ``"thread"`` or ``"process"``."""
+    executor: str = "serial"
+    """Executor backend: ``"serial"`` or ``"process"``."""
 
     recovery: Optional[RecoveryPolicy] = None
     """Worker supervision and recovery (:mod:`repro.faults`).  ``None``
     keeps every backend fail-fast (one failed shard kills the run); a
     :class:`~repro.faults.RecoveryPolicy` arms dead/hung-worker
     detection, respawn and epoch replay on the process backend and
-    snapshot-and-retry on the thread/serial backends — recovered runs
+    snapshot-and-retry on the serial backend — recovered runs
     stay bit-identical to fault-free ones."""
 
     def __post_init__(self) -> None:
@@ -160,105 +155,8 @@ class FleetConfig:
         return os.cpu_count() or 1
 
 
-class _ResidentThreadTeam:
-    """Pinned resident worker threads driving fleet shards.
-
-    Spun up once per fleet and reused for every subsequent call: worker
-    ``w`` permanently owns the strided shard set
-    ``range(w, num_shards, workers)``.  A :meth:`dispatch` posts one
-    lightweight command (a callable of shard index) per worker and
-    waits for one ack per worker, so the steady-state per-call cost is
-    pure queue traffic — no thread or executor construction.  Workers
-    are daemons parked on their command queues between calls (the
-    *idle* state of the resident-worker lifecycle); :meth:`close`
-    drains them with a sentinel.
-    """
-
-    def __init__(self, num_shards: int, workers: int) -> None:
-        self.num_shards = int(num_shards)
-        self.workers = int(workers)
-        self._commands: List[queue.SimpleQueue] = [
-            queue.SimpleQueue() for _ in range(self.workers)
-        ]
-        self._acks: queue.SimpleQueue = queue.SimpleQueue()
-        self._threads: List[threading.Thread] = []
-        self._started = False
-
-    def start(self) -> None:
-        """Spin the pinned workers up (once per team)."""
-        if self._started:
-            raise RuntimeError("resident fleet workers already started")
-        self._started = True
-        for w in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                args=(w,),
-                name=f"repro-fleet-{w}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _worker_loop(self, w: int) -> None:
-        pinned = range(w, self.num_shards, self.workers)
-        commands = self._commands[w]
-        while True:
-            fn = commands.get()
-            if fn is None:
-                return
-            error = None
-            try:
-                for index in pinned:
-                    fn(index)
-            except BaseException as exc:  # ack *every* command
-                error = exc
-            self._acks.put((w, error))
-
-    def dispatch(
-        self,
-        fn: Callable[[int], None],
-        roundtrips: Optional[Dict[int, float]] = None,
-    ) -> None:
-        """Run ``fn(shard_index)`` for every shard on its pinned worker.
-
-        Blocks until every worker acked (a barrier — chunked dispatch
-        needs chunk *k* complete on all shards before chunk *k+1*
-        starts) and re-raises the first worker error.  When
-        ``roundtrips`` is given, each worker's post→ack latency
-        (``perf_counter`` seconds) is accumulated under its worker id —
-        the observability layer's per-worker command round-trip.
-        """
-        if not self._started:
-            raise RuntimeError("resident fleet workers are not running")
-        t_post = time.perf_counter()
-        for commands in self._commands:
-            commands.put(fn)
-        first_error = None
-        for _ in range(self.workers):
-            w, error = self._acks.get()
-            if roundtrips is not None:
-                roundtrips[w] = roundtrips.get(w, 0.0) + (
-                    time.perf_counter() - t_post
-                )
-            if error is not None and first_error is None:
-                first_error = error
-        if first_error is not None:
-            raise first_error
-
-    def close(self) -> None:
-        """Drain the team: send sentinels and join every worker."""
-        if not self._started:
-            return
-        self._started = False
-        for commands in self._commands:
-            commands.put(None)
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads = []
-
-
 class FleetEngine:
-    """Run one controller population as a sharded, threaded fleet.
+    """Run one controller population as a sharded fleet.
 
     Accepts the same constructor arguments as
     :class:`~repro.engine.engine.BatchEngine` (population, LUT, config
@@ -281,12 +179,12 @@ class FleetEngine:
         # be safe on such a half-built engine.
         self._closed = False
         self._proc = None
-        self._team: Optional[_ResidentThreadTeam] = None
         # Per-run attribution for the observability layer: populated by
         # run()/run_chunked() with {"shard_run_s": {shard: seconds},
         # "worker_roundtrip_s": {worker: seconds}} — engine-run seconds
-        # per shard, dispatch→ack seconds per worker.  Pure observation:
-        # nothing reads it back into the simulation.
+        # per shard, dispatch→ack seconds per process worker (none on
+        # the serial backend).  Pure observation: nothing reads it back
+        # into the simulation.
         self.last_timings: Dict[str, Dict[int, float]] = {
             "shard_run_s": {},
             "worker_roundtrip_s": {},
@@ -361,7 +259,7 @@ class FleetEngine:
                 raise ValueError(
                     "executor='process' does not support "
                     "log_corrections=True (the log stays in worker "
-                    "memory); use the thread or serial executor"
+                    "memory); use the serial executor"
                 )
             from repro.engine.procfleet import ProcessFleetBackend
 
@@ -402,10 +300,6 @@ class FleetEngine:
         if getattr(self, "_closed", True):
             return
         self._closed = True
-        team = getattr(self, "_team", None)
-        if team is not None:
-            team.close()
-            self._team = None
         proc = getattr(self, "_proc", None)
         if proc is not None:
             proc.close()
@@ -479,12 +373,12 @@ class FleetEngine:
     ) -> None:
         """Fire any armed fleet-scope fault before a shard command.
 
-        Thread/serial semantics: ``slow`` sleeps then proceeds; ``crash``
-        and ``hang`` degrade to an in-thread raise, because a worker
-        thread cannot be killed or exited without taking the whole
-        interpreter down (the process backend honors them literally).
-        Fires before the shard state is touched, so recovery's snapshot
-        restore and re-run stay bit-identical.
+        Serial semantics: ``slow`` sleeps then proceeds; ``crash`` and
+        ``hang`` degrade to a raise, because the shard runs in the
+        calling thread, which cannot be killed or exited without taking
+        the whole interpreter down (the process backend honors them
+        literally).  Fires before the shard state is touched, so
+        recovery's snapshot restore and re-run stay bit-identical.
         """
         if injector is None:
             return
@@ -504,7 +398,7 @@ class FleetEngine:
 
     @staticmethod
     def _recover_shards(
-        errors: Dict[int, BaseException],
+        errors: Dict[int, Exception],
         recovery: RecoveryPolicy,
         rerun: Callable[[int], None],
     ) -> None:
@@ -524,34 +418,8 @@ class FleetEngine:
             for index in failed:
                 try:
                     rerun(index)
-                except BaseException as exc:
+                except Exception as exc:
                     errors[index] = exc
-
-    def _dispatch(self, fn: Callable[[int], None], workers: int) -> None:
-        """Run ``fn(shard_index)`` for every shard on the chosen backend.
-
-        The serial path stays inline; the thread path lazily starts the
-        resident team on the first parallel call and reuses it for the
-        fleet's lifetime.
-        """
-        if (
-            self.fleet.executor == "serial"
-            or workers <= 1
-            or self.num_shards == 1
-        ):
-            for index in range(self.num_shards):
-                fn(index)
-            return
-        team = self._team
-        if team is None or team.workers != workers:
-            if team is not None:
-                team.close()
-            team = _ResidentThreadTeam(self.num_shards, workers)
-            team.start()
-            self._team = team
-        team.dispatch(
-            fn, roundtrips=self.last_timings["worker_roundtrip_s"]
-        )
 
     def _reset_timings(self) -> None:
         self.last_timings = {
@@ -585,83 +453,15 @@ class FleetEngine:
         the full population and row-sliced per shard (an arrival
         callable is evaluated exactly once), so the sharded run consumes
         inputs identical to a single-shard run; results are merged in
-        shard order, making the output independent of worker scheduling
-        — and of the executor backend.
+        shard order, making the output independent of the executor
+        backend.  The one-chunk case of :meth:`run_chunked`.
         """
-        matrix, schedule = self._prepare(
-            arrivals, system_cycles, scheduled_codes
+        return self.run_chunked(
+            arrivals,
+            system_cycles,
+            system_cycles,
+            scheduled_codes=scheduled_codes,
         )
-        self._reset_timings()
-        workers = min(self.fleet.resolved_workers(), self.num_shards)
-        if self._proc is not None:
-            # Worker processes mutate the shared state in place; a
-            # failed run leaves it half-advanced, so tear the fleet
-            # down (unlinking the shared segments) rather than let a
-            # corrupt population be run again.
-            try:
-                results = self._proc.run(
-                    matrix,
-                    system_cycles,
-                    schedule,
-                    self.fleet.telemetry,
-                    self.fleet.stream_window,
-                    workers,
-                )
-            except Exception:
-                self.close()
-                raise
-            self._adopt_proc_timings()
-            return self._merge(results)
-        recovery = self.fleet.recovery
-        injector = shared_injector() if recovery is not None else None
-        snapshots = (
-            None
-            if recovery is None
-            else [engine.state.snapshot() for engine in self.engines]
-        )
-        errors: Dict[int, BaseException] = {}
-        sinks = [self._make_sink() for _ in self.engines]
-        results: list = [None] * self.num_shards
-
-        run_seconds = self.last_timings["shard_run_s"]
-
-        def run_one(index: int) -> None:
-            self._poll_shard_fault(injector, index)
-            where = self.shard_slices[index]
-            t_run = time.perf_counter()
-            results[index] = self.engines[index].run(
-                matrix[where],
-                system_cycles,
-                scheduled_codes=None if schedule is None else schedule[where],
-                sink=sinks[index],
-            )
-            # Distinct keys per shard: concurrent workers never write
-            # the same slot.
-            run_seconds[index] = run_seconds.get(index, 0.0) + (
-                time.perf_counter() - t_run
-            )
-
-        def run_shard(index: int) -> None:
-            try:
-                run_one(index)
-            except BaseException as exc:
-                # Captured (not raised) so the worker's remaining
-                # pinned shards still run this round; fail-fast mode
-                # keeps the old propagate-immediately behaviour.
-                if recovery is None:
-                    raise
-                errors[index] = exc
-
-        self._dispatch(run_shard, workers)
-        if errors:
-
-            def rerun(index: int) -> None:
-                self.engines[index].state.restore(snapshots[index])
-                sinks[index] = self._make_sink()
-                run_one(index)
-
-            self._recover_shards(errors, recovery, rerun)
-        return self._merge(results)
 
     def run_chunked(
         self,
@@ -670,34 +470,37 @@ class FleetEngine:
         chunk: int,
         scheduled_codes: Optional[np.ndarray] = None,
     ):
-        """Run ``system_cycles`` cycles in worker round-trips of ``chunk``.
+        """Run ``system_cycles`` cycles in rounds of ``chunk`` cycles.
 
         Equivalent to one :meth:`run` call over the full horizon — bit
-        for bit, on every backend and telemetry mode — but each worker
-        command advances up to ``chunk`` system cycles, so per-call
-        synchronisation cost amortises over the chunk.  Arrivals and
+        for bit, on every backend and telemetry mode — but each shard
+        command advances up to ``chunk`` system cycles, so a process
+        fleet pays one worker round-trip per chunk.  Arrivals and
         schedules are normalised once for the whole horizon and
         column-sliced per chunk (engine state carries across chunks
         natively, exactly like sequential ``run`` calls).
 
         Telemetry: dense chunks are stitched with
         :meth:`BatchTrace.concatenate`; streaming sinks accumulate
-        across chunks inside their worker and ship results once, on the
-        final chunk (zero per-chunk result traffic).
+        across chunks (inside the worker, on the process backend) and
+        ship results once, on the final chunk.
         """
-        chunk = int(chunk)
-        if chunk <= 0:
-            raise ValueError("chunk must be positive")
         matrix, schedule = self._prepare(
             arrivals, system_cycles, scheduled_codes
         )
+        chunk = int(chunk)
+        if chunk <= 0:
+            raise ValueError("chunk must be positive")
         self._reset_timings()
         bounds = tuple(
             (lo, min(lo + chunk, system_cycles))
             for lo in range(0, system_cycles, chunk)
         )
-        workers = min(self.fleet.resolved_workers(), self.num_shards)
         if self._proc is not None:
+            # Worker processes mutate the shared state in place; a
+            # failed run leaves it half-advanced, so tear the fleet
+            # down (unlinking the shared segments) rather than let a
+            # corrupt population be run again.
             try:
                 results = self._proc.run_chunked(
                     matrix,
@@ -705,7 +508,7 @@ class FleetEngine:
                     bounds,
                     self.fleet.telemetry,
                     self.fleet.stream_window,
-                    workers,
+                    min(self.fleet.resolved_workers(), self.num_shards),
                 )
             except Exception:
                 self.close()
@@ -720,7 +523,7 @@ class FleetEngine:
             if recovery is None
             else [engine.state.snapshot() for engine in self.engines]
         )
-        errors: Dict[int, BaseException] = {}
+        errors: Dict[int, Exception] = {}
         pieces: list = [[] for _ in range(self.num_shards)]
         sinks = (
             None if dense else [self._make_sink() for _ in self.engines]
@@ -750,16 +553,16 @@ class FleetEngine:
                 results[index] = out
 
         for k, (lo, hi) in enumerate(bounds):
-
-            def run_shard(index: int, lo: int = lo, hi: int = hi) -> None:
+            for index in range(self.num_shards):
                 try:
                     run_one(index, lo, hi)
-                except BaseException as exc:
+                except Exception as exc:
+                    # Captured (not raised) so the remaining shards
+                    # still run this round; fail-fast mode keeps the
+                    # propagate-immediately behaviour.
                     if recovery is None:
                         raise
                     errors[index] = exc
-
-            self._dispatch(run_shard, workers)
             if errors:
 
                 def rerun(index: int, k: int = k) -> None:

@@ -1,11 +1,11 @@
 """Process-based fleet execution over shared-memory population state.
 
-The thread fleet (:mod:`repro.engine.fleet`) overlaps shards only while
-numpy holds the GIL released; once per-cycle cost is dominated by numpy
-*dispatch* (the Python-side ufunc bookkeeping), threads serialise and
-the next lever is separate interpreters.  This module provides that
-backend: ``FleetConfig(executor="process")`` runs every shard in a
-**resident pinned worker process** driven over a command pipe.
+The fleet's parallel backend.  Per-cycle engine cost is dominated by
+numpy *dispatch* (the Python-side ufunc bookkeeping), which holds the
+GIL, so shards only overlap in separate interpreters:
+``FleetConfig(executor="process")`` runs every shard in a **resident
+pinned worker process** driven over a command pipe, while the serial
+backend (:mod:`repro.engine.fleet`) stays the in-process baseline.
 
 Design:
 
@@ -29,16 +29,16 @@ Design:
   worker-local scratch across calls.  Each call is one command message
   (``("run", RunOrder)``) and one ack per worker over a
   :func:`multiprocessing.Pipe` — no pool construction, no per-run
-  re-fan-out of state.  Chunked dispatch
-  (:meth:`ProcessFleetBackend.run_chunked`) keeps streaming sinks
-  *inside* the workers between chunks (``sink_mode`` keep/finish) so
-  only the final chunk ships results.
+  re-fan-out of state.  Every run is chunked dispatch
+  (:meth:`ProcessFleetBackend.run_chunked`; a plain run is one chunk),
+  which keeps streaming sinks *inside* the workers between chunks
+  (``sink_mode`` keep/finish) so only the final chunk ships results.
 * **Determinism.**  Arrivals are normalised once in the parent (arrival
   processes and Poisson matrices are drawn there, with per-die
   ``SeedSequence.spawn`` streams, so workers need no RNG), shards are
   row slices, the engine's cycle loop is elementwise across dies, and
   results are merged in shard order — a process run is **bit-identical**
-  to the serial and thread backends.
+  to the serial backend.
 * **Lifecycle.**  The parent owns every segment: blocks are unlinked on
   :meth:`ProcessFleetBackend.close`, on construction failure, and on a
   worker crash mid-run (the failed run closes the fleet), so no
@@ -53,17 +53,14 @@ Design:
   builds a :class:`~repro.faults.FaultInjector` and polls it per shard
   command, so crash/raise/hang/slow/ack-corruption/attach faults fire
   deterministically at a shard:cycle point under both the fork and
-  spawn start methods.  The legacy
-  ``REPRO_PROCFLEET_FAULT=<shard>[:<min_cycle>]`` env var still works —
-  it parses into an unlimited-budget ``raise`` spec with the original
-  message.  With a :class:`~repro.faults.RecoveryPolicy` configured
-  (``FleetConfig(recovery=...)``), the parent supervises the command
-  pipes (poll-with-timeout heartbeat), detects dead/hung/corrupt
+  spawn start methods.  With a :class:`~repro.faults.RecoveryPolicy`
+  configured (``FleetConfig(recovery=...)``), the parent supervises the
+  command pipes (poll-with-timeout heartbeat), detects dead/hung/corrupt
   workers, respawns them pinned to the same shards, rolls the failed
   shards back to the epoch snapshot and replays the epoch's recorded
   commands — the recovered run is **bit-identical** to a fault-free
   one (pinned by the chaos axis of ``test_differential_fuzz.py``).
-  Without a policy the backend stays fail-fast as before.
+  Without a policy the backend stays fail-fast.
 """
 
 from __future__ import annotations
@@ -95,15 +92,6 @@ from repro.faults import (
 
 _ALIGNMENT = 64
 """Byte alignment of every array inside a shared block (cache line)."""
-
-FAULT_ENV = "REPRO_PROCFLEET_FAULT"
-"""Legacy fault injection for the shared-memory lifecycle tests.  Set
-to a shard index to make the worker pinned to that shard raise on its
-next command; ``"<shard>:<min_cycle>"`` defers the fault until the
-first command whose start cycle has reached ``min_cycle`` (a mid-chunk
-crash).  Parsed by :func:`repro.faults.FaultPlan.from_env` into an
-unlimited-budget ``raise`` spec; the structured ``REPRO_FAULTS``
-grammar and :func:`repro.faults.install` supersede it."""
 
 START_METHOD_ENV = "REPRO_PROCFLEET_START_METHOD"
 """Override the multiprocessing start method (``fork``/``spawn``/
@@ -1215,7 +1203,7 @@ class ProcessFleetBackend:
     def _begin_epoch(self) -> None:
         """Open a recovery epoch: snapshot the state block, clear rounds.
 
-        One epoch covers one ``run``/``run_chunked`` call.  The snapshot
+        One epoch covers one ``run_chunked`` call.  The snapshot
         plus the per-round records (:class:`_RoundRecord`) are what a
         respawned worker replays, so a recovered run is bit-identical
         to a fault-free one.
@@ -1323,25 +1311,6 @@ class ProcessFleetBackend:
                 ) from cause
         assert reply is not None  # an epoch always has >= 1 round
         return reply
-
-    def run(
-        self,
-        matrix: np.ndarray,
-        system_cycles: int,
-        schedule: Optional[np.ndarray],
-        telemetry: str,
-        stream_window: int,
-        workers: int,
-    ) -> list:
-        """Run every shard on the residents; return results in shard order."""
-        self._ensure_workers(workers)
-        self.last_shard_runs = {}
-        self.last_roundtrips = {}
-        self._begin_epoch()
-        return self._run_round(
-            matrix, system_cycles, schedule, telemetry, stream_window,
-            sink_mode="fresh",
-        )
 
     def run_chunked(
         self,

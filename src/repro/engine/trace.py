@@ -167,10 +167,16 @@ class BatchTrace:
 
     @classmethod
     def concatenate(cls, traces) -> "BatchTrace":
-        """Stitch sequential runs of the same population into one trace."""
+        """Stitch sequential runs of the same population into one trace.
+
+        A single trace is returned as is: a one-chunk run has nothing
+        to stitch, so it pays no second copy.
+        """
         traces = list(traces)
         if not traces:
             raise ValueError("traces must not be empty")
+        if len(traces) == 1:
+            return traces[0]
         return cls(
             **{
                 name: np.concatenate([getattr(t, name) for t in traces], axis=0)
@@ -571,7 +577,7 @@ class NullTrace(TraceSink):
 def make_sink(mode: str, stream_window: int = 64) -> TraceSink:
     """Build the sink for a fleet telemetry mode.
 
-    The single mode-to-sink mapping shared by the thread fleet (parent
+    The single mode-to-sink mapping shared by the serial fleet (parent
     side) and the process fleet (worker side), so the two backends
     cannot drift apart on telemetry construction.
     """

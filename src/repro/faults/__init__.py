@@ -10,8 +10,7 @@ shared-memory attach, corrupt a cache entry — and a
 counting down its budget.  Plans are installable three ways:
 
 * from tests, via :func:`install` (highest precedence),
-* from the environment, via ``REPRO_FAULTS`` (and the legacy
-  ``REPRO_PROCFLEET_FAULT`` shard[:cycle] form),
+* from the environment, via ``REPRO_FAULTS``,
 * from the CLI, via ``repro-serve --chaos``.
 
 ``REPRO_FAULTS`` grammar — comma-separated items of::
@@ -31,9 +30,9 @@ budget, never of wall clock or RNG.  The recovery layers built on top
 guarantee that a recovered run is bit-identical to a fault-free one.
 
 Backend semantics: the process backend honors every kind (``crash`` is
-``os._exit`` in the worker); the thread/serial backends treat ``crash``
-and ``hang`` as in-thread raises (a thread cannot be killed or exited
-without taking the interpreter down) and honor ``slow`` as a sleep.  A
+``os._exit`` in the worker); the serial backend treats ``crash`` and
+``hang`` as raises (the calling thread cannot be killed or exited
+without taking the interpreter down) and honors ``slow`` as a sleep.  A
 respawned process worker is born fault-free — its injected fault
 already fired, and re-arming it would make recovery impossible by
 construction.
@@ -43,10 +42,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 FAULTS_ENV = "REPRO_FAULTS"
-LEGACY_FAULT_ENV = "REPRO_PROCFLEET_FAULT"
 
 FAULT_KINDS = (
     "crash",
@@ -74,7 +72,7 @@ class FaultSpec:
     ``shard=None`` matches any shard, ``cycle`` is the start cycle at or
     after which the spec arms, ``times <= 0`` means an unlimited firing
     budget, and ``executor`` restricts the spec to one backend
-    (``"process"``/``"thread"``/``"serial"``/service mode names) so a
+    (``"process"``/``"serial"``/service mode names) so a
     chaos plan can force-fail one rung of a degradation ladder without
     touching the others.
     """
@@ -202,28 +200,14 @@ class FaultPlan:
     def from_env(
         cls, environ: Optional[Mapping[str, str]] = None
     ) -> Optional["FaultPlan"]:
-        """Build a plan from ``REPRO_FAULTS`` plus the legacy
-        ``REPRO_PROCFLEET_FAULT=<shard>[:<min_cycle>]`` env var; None
-        when neither is set."""
+        """Build a plan from ``REPRO_FAULTS``; None when it is unset or
+        empty."""
         env = os.environ if environ is None else environ
-        specs: List[FaultSpec] = []
         raw = env.get(FAULTS_ENV)
-        if raw:
-            specs.extend(cls.parse(raw).specs)
-        legacy = env.get(LEGACY_FAULT_ENV)
-        if legacy:
-            shard_text, _, cycle_text = legacy.partition(":")
-            specs.append(
-                FaultSpec(
-                    kind="raise",
-                    shard=int(shard_text),
-                    cycle=int(cycle_text) if cycle_text else 0,
-                    times=0,
-                )
-            )
-        if not specs:
+        if not raw:
             return None
-        return cls(specs=tuple(specs))
+        plan = cls.parse(raw)
+        return plan if plan.specs else None
 
 
 class FaultInjector:
@@ -270,8 +254,8 @@ class FaultInjector:
 
 
 def injected_error(shard: Optional[int], kind: str) -> RuntimeError:
-    """The canonical injected-fault exception (message prefix is pinned
-    by the legacy ``REPRO_PROCFLEET_FAULT`` regression tests)."""
+    """The canonical injected-fault exception (the ``injected worker
+    fault`` message prefix is pinned by the fleet crash tests)."""
     where = "" if shard is None else f" on shard {shard}"
     return RuntimeError(f"injected worker fault{where} ({kind})")
 
@@ -280,7 +264,7 @@ def injected_error(shard: Optional[int], kind: str) -> RuntimeError:
 class RecoveryPolicy:
     """Fleet-level recovery knobs.
 
-    ``max_restarts`` bounds worker respawns (thread path: shard
+    ``max_restarts`` bounds worker respawns (serial path: shard
     re-attempts) over the backend's lifetime; ``command_timeout_s``
     arms hung-worker detection on the process backend's command pipes
     (None keeps blocking recv, the fail-fast default).
@@ -299,7 +283,7 @@ class RecoveryPolicy:
 
 
 _installed: Optional[FaultPlan] = None
-_env_key: Tuple[Optional[str], Optional[str]] = (None, None)
+_env_key: Optional[str] = None
 _env_plan: Optional[FaultPlan] = None
 _shared: Optional[FaultInjector] = None
 
@@ -321,14 +305,14 @@ def clear() -> None:
 def active_plan() -> Optional[FaultPlan]:
     """The installed plan, else the environment plan, else None.
 
-    Environment parses are cached on the raw env strings so repeated
+    Environment parses are cached on the raw env string so repeated
     calls return the *same* plan object and the shared injector's
     budgets survive across polls.
     """
     if _installed is not None:
         return _installed
     global _env_key, _env_plan
-    key = (os.environ.get(FAULTS_ENV), os.environ.get(LEGACY_FAULT_ENV))
+    key = os.environ.get(FAULTS_ENV)
     if key != _env_key:
         _env_key = key
         _env_plan = FaultPlan.from_env()
@@ -338,7 +322,7 @@ def active_plan() -> Optional[FaultPlan]:
 def shared_injector() -> Optional[FaultInjector]:
     """The process-wide injector over :func:`active_plan`.
 
-    Used by in-process fault sites (thread/serial fleet shards, the
+    Used by in-process fault sites (serial fleet shards, the
     service retry loop, the cache probe) so one plan's budgets are
     shared across them; the process backend instead ships the plan in
     the worker payload and builds a per-worker injector.
@@ -361,7 +345,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "LEGACY_FAULT_ENV",
     "RecoveryPolicy",
     "active_plan",
     "clear",

@@ -22,7 +22,7 @@ Three modes:
 Examples::
 
     repro-serve --requests 200 --unique 25 --cycles 200
-    repro-serve --requests 64 --unique 64 --cycles 120 --execution thread
+    repro-serve --requests 64 --unique 64 --cycles 120 --execution process
     repro-serve --listen 127.0.0.1:8265 --persist-dir /tmp/repro-cache
     repro-serve --drive http://127.0.0.1:8265 --requests 200 --unique 20
 """

@@ -105,7 +105,7 @@ RESULT_FIELDS: Tuple[str, ...] = tuple(
 )
 """Every reducer a :class:`SimResult` can carry."""
 
-EXECUTION_MODES = ("direct", "serial", "thread", "process")
+EXECUTION_MODES = ("direct", "serial", "process")
 """``"direct"`` runs batches on a plain :class:`BatchEngine`; the other
 modes run them as a :class:`FleetEngine` on that executor backend
 (bit-identical results — a throughput/isolation choice)."""

@@ -12,9 +12,9 @@ engine batch:
   after ``breaker_threshold`` consecutive failures a mode is skipped for
   ``breaker_cooldown_s`` before a half-open probe;
 * **graceful degradation** down :data:`DEGRADATION_LADDER` — a process
-  fleet that keeps failing falls back to a thread fleet, then to serial,
-  each rung producing bit-identical results (the PR-2/PR-4 backend
-  equivalence invariant is what makes degradation *safe*).
+  fleet that keeps failing falls back to a serial fleet, which produces
+  bit-identical results (the backend equivalence invariant is what
+  makes degradation *safe*).
 
 The policy also forwards fleet-level knobs: ``fleet_restarts`` and
 ``command_timeout_s`` become the :class:`~repro.faults.RecoveryPolicy`
@@ -38,8 +38,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 DEGRADATION_LADDER: Dict[str, Tuple[str, ...]] = {
-    "process": ("process", "thread", "serial"),
-    "thread": ("thread", "serial"),
+    "process": ("process", "serial"),
     "serial": ("serial",),
     "direct": ("direct",),
 }

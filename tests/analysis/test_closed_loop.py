@@ -47,11 +47,11 @@ class TestMonteCarloClosedLoop:
             monte_carlo_closed_loop(cycles=0, library=library)
 
     def test_executor_backends_agree(self, library):
-        """The executor= plumbing must not change any result: serial,
-        thread and process fleets produce identical populations."""
+        """The executor= plumbing must not change any result: serial
+        and process fleets produce identical populations."""
         kwargs = dict(dies=5, cycles=100, library=library, seed=31)
         reference = monte_carlo_closed_loop(executor="serial", **kwargs)
-        for executor in ("thread", "process"):
+        for executor in ("serial", "process"):
             result = monte_carlo_closed_loop(
                 executor=executor,
                 fleet=FleetConfig(

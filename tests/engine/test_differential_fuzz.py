@@ -7,16 +7,16 @@ schedule, window sizes, sharding — and drives each one through every
 ``(step_kernel, device_model, executor, sink)`` combination, asserting
 
 * **bit-identity** between all exact paths: legacy vs fused kernel, and
-  the serial / thread / process fleet executors vs one plain
-  ``BatchEngine`` batch (dense traces channel-for-channel, streaming
-  reducers, null-sink state totals),
+  the serial / process fleet executors vs one plain ``BatchEngine``
+  batch (dense traces channel-for-channel, streaming reducers,
+  null-sink state totals),
 * **bit-identity** between executors under the tabulated device model
   (the backends must agree with each other regardless of device model),
 * **tolerance parity** of the tabulated model against the exact one,
 * **scalar parity**: the fused engine against the legacy pure-Python
-  ``AdaptiveController.run_reference`` loop for a die of the population
-  (rtol 1e-12, the same bar as ``test_parity.py``), on every scenario
-  whose knobs the scalar stack can express.
+  ``AdaptiveController.run_reference`` loop for every die of every
+  scenario (integer channels exactly, float channels at rtol 1e-12, the
+  same bar as ``test_parity.py``).
 
 Scenario count and seeds are environment-tunable:
 
@@ -29,6 +29,7 @@ Scenario count and seeds are environment-tunable:
   ``REPRO_FUZZ_SEEDS=20090013 pytest tests/engine/test_differential_fuzz.py``.
 """
 
+import copy
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -40,7 +41,7 @@ from repro.testing import fuzz_seeds, replay_message
 from repro.circuits.loads import DigitalLoad
 from repro.core.controller import AdaptiveController
 from repro.core.dcdc import FeedbackMode
-from repro.core.rate_controller import program_lut_for_load
+from repro.core.rate_controller import RateController, program_lut_for_load
 from repro.devices.variation import MonteCarloSampler, VariationModel
 from repro.engine import (
     BatchEngine,
@@ -54,7 +55,7 @@ from repro.library import OperatingCondition
 # (engine, analysis, service) — see repro.testing.
 SEEDS = fuzz_seeds()
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 TRACE_CHANNELS = (
     "times",
@@ -101,17 +102,6 @@ class Scenario:
     nmos_shifts: np.ndarray
     pmos_shifts: np.ndarray
 
-    @property
-    def scalar_eligible(self) -> bool:
-        """Whether the scalar controller can express these knobs.
-
-        ``AdaptiveController`` hard-wires the rate controller's
-        averaging window to 4 and carries its LUT correction inside the
-        ``VoltageLut``, so only default-window, zero-initial-correction
-        scenarios have a scalar twin.
-        """
-        return self.averaging_window == 4 and self.initial_correction is None
-
     def engine_kwargs(self) -> dict:
         kwargs = dict(
             compensation_enabled=self.compensation,
@@ -132,8 +122,8 @@ def draw_scenario(seed: int) -> Scenario:
     rng = np.random.default_rng(seed)
     dies = int(rng.integers(1, 9))
     cycles = int(rng.integers(24, 97))
-    # Half the budget keeps the scalar stack's window so run_reference
-    # parity gets real coverage; the rest stresses odd windows.
+    # Half the budget keeps the rate controller's default window; the
+    # rest stresses odd windows.
     averaging_window = 4 if rng.random() < 0.5 else int(rng.integers(1, 7))
     compensation = bool(rng.random() < 0.8)
     feedback = FeedbackMode.VOLTAGE_SENSE
@@ -447,16 +437,15 @@ def test_tabulated_backends_bit_identical_and_near_exact(
 
 REUSE_COMBOS = (
     {"executor": "serial", "telemetry": "dense"},
-    {"executor": "thread", "telemetry": "dense"},
     {"executor": "process", "telemetry": "dense"},
-    {"executor": "thread", "telemetry": "streaming"},
+    {"executor": "serial", "telemetry": "streaming"},
     {"executor": "process", "telemetry": "null"},
-    {"executor": "thread", "telemetry": "dense", "step_kernel": "legacy"},
+    {"executor": "serial", "telemetry": "dense", "step_kernel": "legacy"},
     {"executor": "process", "telemetry": "dense",
      "device_model": "tabulated"},
 )
 """Engine-reuse axis coverage: every executor, every sink, the legacy
-kernel (thread-only; the process backend rejects it) and the tabulated
+kernel (serial-only; the process backend rejects it) and the tabulated
 device model all appear at least once."""
 
 
@@ -594,7 +583,7 @@ def test_persistent_engine_reuse_bit_identical(seed, library, fuzz_lut):
 # Chaos axis: "same answer under every failure".
 # ----------------------------------------------------------------------
 PROCESS_CHAOS_KINDS = ("crash", "raise", "hang", "slow", "ack_corrupt")
-THREAD_CHAOS_KINDS = ("crash", "raise", "hang", "slow")
+SERIAL_CHAOS_KINDS = ("crash", "raise", "hang", "slow")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -617,9 +606,9 @@ def test_chaos_recovery_bit_identical(seed, library, fuzz_lut):
     reference_totals = runs.exact_totals
 
     rng = np.random.default_rng(seed ^ 0xFA17)
-    executor = ("process", "thread")[int(rng.integers(0, 2))]
+    executor = ("process", "serial")[int(rng.integers(0, 2))]
     kinds = (
-        PROCESS_CHAOS_KINDS if executor == "process" else THREAD_CHAOS_KINDS
+        PROCESS_CHAOS_KINDS if executor == "process" else SERIAL_CHAOS_KINDS
     )
     kind = kinds[int(rng.integers(0, len(kinds)))]
     num_shards = -(-sc.dies // sc.shard_size)
@@ -629,8 +618,8 @@ def test_chaos_recovery_bit_identical(seed, library, fuzz_lut):
     chunk = int(rng.integers(1, sc.cycles + 1))
     cycle = (int(rng.integers(0, sc.cycles)) // chunk) * chunk
     # A hung process worker sleeps past the 5s command timeout and is
-    # fenced + respawned; on the thread backend hang/crash degrade to
-    # in-thread raises (a thread cannot be killed), slow to a sleep.
+    # fenced + respawned; on the serial backend hang/crash degrade to
+    # raises (the calling thread cannot be killed), slow to a sleep.
     seconds = 30.0 if kind == "hang" else 0.03
     label = (
         f"(chaos {kind}@{'*' if shard is None else shard}:{cycle}, "
@@ -680,66 +669,76 @@ def test_chaos_recovery_bit_identical(seed, library, fuzz_lut):
             shared_memory.SharedMemory(name=name)
 
 
+SCALAR_INT_CHANNELS = (
+    "queue_lengths",
+    "desired_codes",
+    "duty_values",
+    "operations",
+    "lut_corrections",
+    "decisions",
+)
+SCALAR_FLOAT_CHANNELS = ("times", "output_voltages", "energies")
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scalar_run_reference_parity(seed, library, fuzz_lut):
     """The batch reference must match the pure-Python scalar loop
-    (``run_reference`` / ``run_schedule_reference``) for die 0 of the
-    population, whenever the scenario's knobs exist on the scalar
-    stack."""
+    (``run_reference`` / ``run_schedule_reference``) on every die of
+    every scenario: integer channels exactly, float channels at rtol
+    1e-12.  Each die gets its own scalar controller with the scenario's
+    averaging window and its own LUT copy carrying the die's initial
+    correction."""
     runs = get_runs(seed, library, fuzz_lut)
     sc = runs.sc
-    if not sc.scalar_eligible:
-        pytest.skip("scenario uses engine-only knobs (window/correction)")
     message = sc.replay_message()
-    silicon = library.delay_model(
-        OperatingCondition(
-            corner="TT",
-            nmos_vth_shift=float(sc.nmos_shifts[0]),
-            pmos_vth_shift=float(sc.pmos_shifts[0]),
-        )
-    )
-    controller = AdaptiveController(
-        load=DigitalLoad(library.ring_oscillator_load, silicon),
-        lut=program_lut_for_load(
-            DigitalLoad(
-                library.ring_oscillator_load, library.reference_delay_model
-            ),
-            sample_rate=1e5,
-        ),
-        reference_delay_model=library.reference_delay_model,
-        compensation_enabled=sc.compensation,
-        feedback_mode=sc.feedback,
-    )
-    period = controller.config.system_cycle_period
     matrix = np.zeros((sc.dies, sc.cycles), dtype=np.int64)
     if sc.arrivals is not None:
         matrix = np.broadcast_to(
             np.asarray(sc.arrivals, dtype=np.int64), matrix.shape
-        ) if np.ndim(sc.arrivals) == 1 else np.asarray(
-            sc.arrivals, dtype=np.int64
         )
-    replay = ReplayArrivals(matrix[0], period)
-    if sc.schedule_pairs is not None:
-        scalar_trace = controller.run_schedule_reference(
-            list(sc.schedule_pairs), arrivals=replay
+    for die in range(sc.dies):
+        label = f"(die {die}, scalar reference) {message}"
+        silicon = library.delay_model(
+            OperatingCondition(
+                corner="TT",
+                nmos_vth_shift=float(sc.nmos_shifts[die]),
+                pmos_vth_shift=float(sc.pmos_shifts[die]),
+            )
         )
-    else:
-        scalar_trace = controller.run_reference(replay, sc.cycles)
-    die = runs.exact.die(0)
-    for channel in (
-        "times",
-        "queue_lengths",
-        "desired_codes",
-        "output_voltages",
-        "duty_values",
-        "energies",
-        "lut_corrections",
-        "decisions",
-    ):
-        np.testing.assert_allclose(
-            np.asarray(getattr(die, channel), dtype=float),
-            np.asarray(getattr(scalar_trace, channel), dtype=float),
-            rtol=1e-12,
-            atol=0.0,
-            err_msg=f"{channel} (scalar reference) {message}",
+        lut = copy.deepcopy(fuzz_lut)
+        if sc.initial_correction is not None:
+            lut.apply_correction(int(sc.initial_correction[die]))
+        controller = AdaptiveController(
+            load=DigitalLoad(library.ring_oscillator_load, silicon),
+            lut=lut,
+            reference_delay_model=library.reference_delay_model,
+            compensation_enabled=sc.compensation,
+            feedback_mode=sc.feedback,
         )
+        controller.rate_controller = RateController(
+            lut, averaging_window=sc.averaging_window
+        )
+        replay = ReplayArrivals(
+            matrix[die], controller.config.system_cycle_period
+        )
+        if sc.schedule_pairs is not None:
+            scalar_trace = controller.run_schedule_reference(
+                list(sc.schedule_pairs), arrivals=replay
+            )
+        else:
+            scalar_trace = controller.run_reference(replay, sc.cycles)
+        batch_trace = runs.exact.die(die)
+        for channel in SCALAR_INT_CHANNELS:
+            np.testing.assert_array_equal(
+                getattr(batch_trace, channel),
+                getattr(scalar_trace, channel),
+                err_msg=f"{channel} {label}",
+            )
+        for channel in SCALAR_FLOAT_CHANNELS:
+            np.testing.assert_allclose(
+                getattr(batch_trace, channel),
+                getattr(scalar_trace, channel),
+                rtol=1e-12,
+                atol=0.0,
+                err_msg=f"{channel} {label}",
+            )

@@ -12,7 +12,7 @@ schedules; this suite pins each supervision mechanism directly:
 * ``close()`` cannot deadlock on a worker that hangs instead of
   acking — the bounded drain escalates to terminate (satellite
   regression for the unbounded ``recv()`` teardown);
-* thread backend: per-shard snapshot/re-run recovery with the same
+* serial backend: per-shard snapshot/re-run recovery with the same
   budget semantics.
 """
 
@@ -253,14 +253,14 @@ class TestCloseNeverDeadlocks:
                 shared_memory.SharedMemory(name=name)
 
 
-class TestThreadRecovery:
+class TestSerialRecovery:
     def test_raise_recovers_bit_identical(
         self, population, reference_lut, arrivals, reference
     ):
         assert_recovers_bit_identical(
             population, reference_lut, arrivals, reference,
             FaultPlan((FaultSpec(kind="raise", shard=1),)),
-            executor="thread",
+            executor="serial",
         )
 
     def test_chunked_streaming_sink_recovery(
@@ -273,7 +273,7 @@ class TestThreadRecovery:
             population,
             reference_lut,
             fleet=FleetConfig(
-                executor="thread", shard_size=3, workers=2,
+                executor="serial", shard_size=3, workers=2,
                 telemetry="streaming",
             ),
         ) as baseline_fleet:
@@ -289,7 +289,7 @@ class TestThreadRecovery:
             population,
             reference_lut,
             fleet=FleetConfig(
-                executor="thread", shard_size=3, workers=2,
+                executor="serial", shard_size=3, workers=2,
                 telemetry="streaming",
                 recovery=RecoveryPolicy(max_restarts=2),
             ),

@@ -3,7 +3,7 @@
 The fleet contract: a sharded, multi-worker run is **bit-identical** to
 the same population advanced as one `BatchEngine` batch, whatever the
 shard size, worker count, telemetry mode or executor backend
-(serial / thread / process).
+(serial / process).
 """
 
 import os
@@ -239,9 +239,9 @@ class TestFleetTelemetryModes:
 
 
 class TestExecutorBackends:
-    """serial/thread/process runs must be bit-identical to one batch."""
+    """serial/process runs must be bit-identical to one batch."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_dense_run_is_bit_identical(
         self, population, reference_lut, arrivals, executor
     ):
@@ -261,9 +261,8 @@ class TestExecutorBackends:
                 fleet.final_correction(), single.final_correction()
             )
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_streaming_run_matches_thread_backend(
-        self, population, reference_lut, arrivals, executor
+    def test_process_streaming_run_matches_serial_backend(
+        self, population, reference_lut, arrivals
     ):
         def run(backend):
             with FleetEngine(
@@ -276,8 +275,8 @@ class TestExecutorBackends:
             ) as fleet:
                 return fleet.run(arrivals, CYCLES)
 
-        reference = run("thread")
-        sink = run(executor)
+        reference = run("serial")
+        sink = run("process")
         for channel in ("output_voltages", "energies", "duty_values"):
             np.testing.assert_array_equal(
                 sink.total(channel), reference.total(channel)
@@ -325,7 +324,7 @@ class TestChunkedDispatch:
     """run_chunked must equal one run() over the full horizon, bit for
     bit, on every backend and telemetry mode."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("chunk", [1, 37, 120, 500])
     def test_dense_chunked_matches_one_run(
         self, population, reference_lut, arrivals, executor, chunk
@@ -342,7 +341,7 @@ class TestChunkedDispatch:
                 single, fleet.run_chunked(arrivals, CYCLES, chunk)
             )
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_streaming_chunked_matches_unchunked(
         self, population, reference_lut, arrivals, executor
     ):
@@ -374,7 +373,7 @@ class TestChunkedDispatch:
             chunked.violation_cycles, reference.violation_cycles
         )
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_null_chunked_totals_match(
         self, population, reference_lut, arrivals, executor
     ):
@@ -423,7 +422,7 @@ class TestChunkedDispatch:
 class TestFleetReset:
     """reset() must make the next run bit-identical to a cold fleet."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_reset_replays_bit_identically(
         self, population, reference_lut, arrivals, executor
     ):
@@ -436,7 +435,7 @@ class TestFleetReset:
             fleet.reset()
             assert_bit_identical(first, fleet.run(arrivals, CYCLES))
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_population_swap_matches_cold_fleet(
         self,
         population,
@@ -517,50 +516,6 @@ class TestFleetReset:
             fleet.reset()
 
 
-class TestResidentThreadTeam:
-    def test_double_start_rejected(self):
-        from repro.engine.fleet import _ResidentThreadTeam
-
-        team = _ResidentThreadTeam(num_shards=4, workers=2)
-        team.start()
-        try:
-            with pytest.raises(RuntimeError, match="already started"):
-                team.start()
-        finally:
-            team.close()
-
-    def test_dispatch_requires_started_team(self):
-        from repro.engine.fleet import _ResidentThreadTeam
-
-        team = _ResidentThreadTeam(num_shards=2, workers=2)
-        with pytest.raises(RuntimeError, match="not running"):
-            team.dispatch(lambda index: None)
-
-    def test_team_survives_worker_error(
-        self, population, reference_lut, arrivals
-    ):
-        """A raising shard callable must surface and leave the team
-        usable — the threads ack errors instead of dying."""
-        fleet = FleetEngine(
-            population,
-            reference_lut,
-            fleet=FleetConfig(shard_size=3, workers=2),
-        )
-        boom = RuntimeError("shard exploded")
-
-        def explode(index):
-            raise boom
-
-        fleet._dispatch(lambda index: None, workers=2)  # start the team
-        with pytest.raises(RuntimeError, match="shard exploded"):
-            fleet._team.dispatch(explode)
-        single = BatchEngine(population, lut=reference_lut).run(
-            arrivals, CYCLES
-        )
-        fleet.reset()
-        assert_bit_identical(single, fleet.run(arrivals, CYCLES))
-
-
 class TestResolvedWorkers:
     """Worker resolution must respect the process's CPU affinity."""
 
@@ -598,8 +553,9 @@ class TestFleetConfigValidation:
             FleetConfig(telemetry="csv")
         with pytest.raises(ValueError):
             FleetConfig(stream_window=0)
-        with pytest.raises(ValueError):
-            FleetConfig(executor="greenlet")
+        for executor in ("greenlet", "thread"):
+            with pytest.raises(ValueError, match="executor must be one of"):
+                FleetConfig(executor=executor)
 
     def test_shard_size_larger_than_population(
         self, population, reference_lut

@@ -26,12 +26,13 @@ from repro.engine import (
     FleetEngine,
     SharedArrayBlock,
 )
-from repro.engine.procfleet import FAULT_ENV, START_METHOD_ENV
+from repro.engine.procfleet import START_METHOD_ENV
 from repro.engine.state import (
     BatchState,
     STATE_ARRAY_FIELDS,
     STATE_SCALAR_FIELDS,
 )
+from repro.faults import FAULTS_ENV
 
 DIES = 9
 CYCLES = 40
@@ -217,7 +218,7 @@ class TestProcessFleetLifecycle:
     def test_worker_crash_propagates_and_leaks_no_segments(
         self, population, reference_lut, arrivals, monkeypatch
     ):
-        monkeypatch.setenv(FAULT_ENV, "1")
+        monkeypatch.setenv(FAULTS_ENV, "raise@1:0::0")
         fleet = make_process_fleet(population, reference_lut)
         names = fleet.shared_block_names()
         assert names
@@ -295,11 +296,11 @@ class TestProcessFleetLifecycle:
                 fleet=FleetConfig(executor="process", workers=2),
                 step_kernel="legacy",
             )
-        # The thread executor keeps supporting the legacy baseline.
+        # The serial executor keeps supporting the legacy baseline.
         fleet = FleetEngine(
             population,
             reference_lut,
-            fleet=FleetConfig(executor="thread", workers=2),
+            fleet=FleetConfig(executor="serial", workers=2),
             step_kernel="legacy",
         )
         assert fleet.num_shards >= 1
@@ -330,7 +331,7 @@ class TestProcessFleetLifecycle:
         """A fault armed for a later cycle fires on a mid-horizon chunk
         — after earlier chunks already ran on live residents — and the
         teardown must still unlink every segment."""
-        monkeypatch.setenv(FAULT_ENV, "1:20")
+        monkeypatch.setenv(FAULTS_ENV, "raise@1:20::0")
         fleet = make_process_fleet(population, reference_lut)
         names = fleet.shared_block_names()
         # Chunks of 10 over 40 cycles: the fault arms at start cycle 20,

@@ -8,7 +8,9 @@ a digital word —
   ``digital/signals.voltage_to_code`` and the scalar rate controller's
   occupancy average) rounds half to even on binary floats, and
 * ``np.rint`` (used by the engine's ``_rate_decision``, ``_sense_codes``
-  and duty preset) implements the same IEEE round-half-to-even.
+  and duty preset — in both the fused ``CycleKernel`` every default
+  engine runs and the legacy step's helpers) implements the same IEEE
+  round-half-to-even.
 
 So a half-integer average of 2.5 maps to code 2 (not 3) on *both*
 paths.  These tests construct inputs that land exactly on .5 and assert
@@ -25,7 +27,7 @@ from repro.core.config import ControllerConfig, PowerStageConfig
 from repro.core.controller import AdaptiveController
 from repro.core.rate_controller import RateController, program_lut_for_load
 from repro.digital.signals import voltage_to_code
-from repro.engine import BatchEngine, BatchPopulation
+from repro.engine import BatchEngine, BatchPopulation, CycleKernel
 from repro.library import OperatingCondition
 
 
@@ -55,34 +57,55 @@ class TestRateControllerAveraging:
     def test_half_integer_occupancy_averages_agree(
         self, library, reference_lut
     ):
-        """Feed both paths a queue-length sequence whose running window
-        averages hit exact halves (1, 1.5, 1.0, 1.5, 1.75, ...)."""
-        queue_lengths = [1, 2, 0, 3, 2, 1, 4, 1, 0, 5, 2, 2]
+        """Feed the scalar controller, the legacy helper and the fused
+        kernel a queue-length sequence whose running window averages hit
+        exact halves (1, 1.5, 1.0, 1.5, 1.75, ..., 8.5).  The final 8.5
+        sits on a LUT code boundary (8 and 9 map to different codes), so
+        rounding half up instead of to even changes the code."""
+        queue_lengths = [1, 2, 0, 3, 2, 1, 4, 1, 0, 5, 2, 2, 8, 9, 8, 9]
         scalar = RateController(reference_lut)
         scalar_codes = [
             scalar.evaluate(q).desired_code for q in queue_lengths
         ]
-        saw_half = any(
-            (sum(queue_lengths[max(0, i - 3): i + 1])
-             / len(queue_lengths[max(0, i - 3): i + 1])) % 1 == 0.5
+        averages = [
+            sum(queue_lengths[max(0, i - 3): i + 1])
+            / len(queue_lengths[max(0, i - 3): i + 1])
             for i in range(len(queue_lengths))
-        )
-        assert saw_half, "sequence must exercise a .5 average"
-        engine = BatchEngine(
-            BatchPopulation.from_digital_load(
-                DigitalLoad(
-                    library.ring_oscillator_load,
+        ]
+        halves = [a for a in averages if a % 1 == 0.5]
+        assert halves, "sequence must exercise a .5 average"
+        assert any(
+            reference_lut.lookup(int(a - 0.5))
+            != reference_lut.lookup(int(a + 0.5))
+            for a in halves
+        ), "a .5 average must straddle a LUT code boundary"
+
+        def make_engine():
+            return BatchEngine(
+                BatchPopulation.from_digital_load(
+                    DigitalLoad(
+                        library.ring_oscillator_load,
+                        library.reference_delay_model,
+                    ),
                     library.reference_delay_model,
                 ),
-                library.reference_delay_model,
-            ),
-            lut=reference_lut,
-        )
+                lut=reference_lut,
+            )
+
+        engine = make_engine()
         batch_codes = []
         for q in queue_lengths:
             engine.state.queue_length[:] = q
             batch_codes.append(int(engine._rate_decision()[0]))
         assert batch_codes == scalar_codes
+
+        kernel = CycleKernel(make_engine())
+        kernel_codes = []
+        for q in queue_lengths:
+            kernel.engine.state.queue_length[:] = q
+            kernel._rate_decision()
+            kernel_codes.append(int(kernel.scratch.out_desired[0]))
+        assert kernel_codes == scalar_codes
 
 
 class TestDutyPresetRounding:
@@ -153,9 +176,9 @@ class TestSenseCodeRounding:
     def test_voltage_quantisation_agrees_across_paths(
         self, library, reference_lut
     ):
-        """voltage_to_code (scalar sense path) and the engine's
-        _sense_codes expression must agree on a dense voltage sweep that
-        includes every code-boundary midpoint."""
+        """voltage_to_code (scalar sense path), the legacy helper and the
+        fused kernel's _sense_codes must agree on a dense voltage sweep
+        that includes every code-boundary midpoint."""
         config = ControllerConfig()
         bits = config.resolution_bits
         full_scale = config.full_scale_voltage
@@ -179,3 +202,7 @@ class TestSenseCodeRounding:
             voltage_to_code(float(v), bits, full_scale) for v in voltages
         ]
         assert batch_codes.tolist() == scalar_codes
+        kernel_codes = CycleKernel(engine)._sense_codes(
+            voltages, out=np.empty(voltages.size, dtype=np.int64)
+        )
+        assert kernel_codes.tolist() == scalar_codes

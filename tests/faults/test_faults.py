@@ -1,9 +1,9 @@
 """The fault-plan registry: grammar, matching, budgets, precedence.
 
 ``repro.faults`` is the foundation the chaos axis stands on, so its own
-semantics are pinned tightly: the env grammar (including the legacy
-``REPRO_PROCFLEET_FAULT`` form), spec matching (scope / shard wildcard
-/ cycle arming / command / executor filters), per-spec firing budgets,
+semantics are pinned tightly: the ``REPRO_FAULTS`` env grammar, spec
+matching (scope / shard wildcard / cycle arming / command / executor
+filters), per-spec firing budgets,
 and the install-beats-environment precedence of :func:`active_plan`.
 """
 
@@ -90,21 +90,6 @@ class TestEnvironment:
         plan = FaultPlan.from_env({"REPRO_FAULTS": "crash@1:20"})
         assert plan.specs == (FaultSpec(kind="crash", shard=1, cycle=20),)
 
-    def test_legacy_env_maps_to_unlimited_raise(self):
-        plan = FaultPlan.from_env({"REPRO_PROCFLEET_FAULT": "1:20"})
-        (spec,) = plan.specs
-        assert spec == FaultSpec(kind="raise", shard=1, cycle=20, times=0)
-
-    def test_legacy_env_without_cycle(self):
-        (spec,) = FaultPlan.from_env({"REPRO_PROCFLEET_FAULT": "2"}).specs
-        assert spec.shard == 2 and spec.cycle == 0
-
-    def test_both_envs_concatenate(self):
-        plan = FaultPlan.from_env(
-            {"REPRO_FAULTS": "slow@*", "REPRO_PROCFLEET_FAULT": "0"}
-        )
-        assert [spec.kind for spec in plan.specs] == ["slow", "raise"]
-
     def test_empty_environment_is_none(self):
         assert FaultPlan.from_env({}) is None
 
@@ -128,7 +113,7 @@ class TestMatching:
         spec = FaultSpec(kind="raise", executor="process")
         event = dict(scope="fleet", shard=None, cycle=0, command="run")
         assert spec.matches(executor="process", **event)
-        assert not spec.matches(executor="thread", **event)
+        assert not spec.matches(executor="serial", **event)
 
     def test_command_filter_and_any(self):
         close_spec = FaultSpec(kind="hang", command="close")

@@ -31,7 +31,7 @@ CORNERS = ("SS", "TT", "FS")
 ALT_COMBOS = (
     {"device_model": "tabulated"},
     {"execution": "serial"},
-    {"execution": "thread"},
+    {"step_kernel": "legacy", "execution": "serial"},
     {"device_model": "tabulated", "execution": "process"},
 )
 

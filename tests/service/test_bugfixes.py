@@ -183,11 +183,11 @@ class TestBackoffStatelessDeterminism:
         # happened before on either schedule.
         assert one.delay(0, "process") == other.delay(0, "process")
         for _ in range(5):
-            one.delay(3, "thread")
+            one.delay(3, "serial")
         assert one.delay(0, "process") == other.delay(0, "process")
         assert one.delay(1, "process") == other.delay(1, "process")
         # Distinct modes and attempts draw distinct jitter.
-        assert one.delay(1, "process") != one.delay(1, "thread")
+        assert one.delay(1, "process") != one.delay(1, "serial")
         assert one.delay(0, "serial") != one.delay(1, "serial")
 
     def test_concurrent_draws_match_sequential_draws(self):
@@ -195,7 +195,7 @@ class TestBackoffStatelessDeterminism:
         schedule = BackoffSchedule(policy)
         expected = {
             (mode, attempt): schedule.delay(attempt, mode)
-            for mode in ("process", "thread", "serial")
+            for mode in ("process", "serial", "direct")
             for attempt in range(4)
         }
         results = {}

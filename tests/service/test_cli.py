@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.service.cli import build_parser, generate_requests, main
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -36,6 +38,11 @@ def test_generator_is_deterministic_and_pool_bounded():
 
 def test_invalid_arguments_fail_fast(capsys):
     assert main(["--requests", "0"]) == 2
+    for execution in ("warp", "thread"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--execution", execution])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
     parser = build_parser()
     assert parser.prog == "repro-serve"
 

@@ -19,7 +19,7 @@ of the same work:
 
 Per seed, the matrix also replays under one alternative execution
 combination — legacy kernel, tabulated device model, or a fleet
-executor backend (serial/thread/process) — so every axis the engine
+executor backend (serial/process) — so every axis the engine
 fuzz harness covers is exercised through the service path too.  Seeds
 follow the shared protocol (:mod:`repro.testing`); replay with
 ``REPRO_FUZZ_SEEDS=<seed>``.
@@ -42,7 +42,7 @@ ALT_COMBOS = (
     {"step_kernel": "legacy"},
     {"device_model": "tabulated"},
     {"execution": "serial"},
-    {"execution": "thread"},
+    {"step_kernel": "legacy", "execution": "serial"},
     {"execution": "process"},
     {"device_model": "tabulated", "execution": "process"},
 )
@@ -201,10 +201,10 @@ def test_partitioning_is_bit_identical(seed, library):
         {},
         {"step_kernel": "legacy"},
         {"device_model": "tabulated"},
-        {"execution": "thread"},
+        {"execution": "serial"},
         {"execution": "process"},
     ],
-    ids=("fused", "legacy", "tabulated", "thread", "process"),
+    ids=("fused", "legacy", "tabulated", "serial", "process"),
 )
 def test_pinned_partition_parity_every_axis(library, combo):
     """A fixed scenario through every axis on every run (the fuzz

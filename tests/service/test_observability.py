@@ -50,8 +50,8 @@ CORNERS = ("SS", "TT", "FS")
 EXECUTION_COMBOS = (
     {"execution": "direct", "device_model": "exact"},
     {"execution": "direct", "device_model": "tabulated"},
-    {"execution": "thread", "device_model": "exact"},
-    {"execution": "thread", "device_model": "tabulated"},
+    {"execution": "serial", "device_model": "exact"},
+    {"execution": "serial", "device_model": "tabulated"},
     {"execution": "process", "device_model": "exact"},
     {"execution": "process", "device_model": "tabulated"},
 )
@@ -337,7 +337,7 @@ class TestTraceTreeOverHttp:
         service = SimulationService(
             library=library,
             config=ServiceConfig(
-                tick_interval_s=0.001, execution="thread", workers=2
+                tick_interval_s=0.001, execution="serial", workers=2
             ),
             tracer=Tracer(exporter=exporter, sample_rate=1.0),
         )

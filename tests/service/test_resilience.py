@@ -3,7 +3,7 @@
 The contract under test: with a :class:`ResiliencePolicy` configured,
 the service *keeps serving bit-identical results* while the execution
 substrate misbehaves — a force-failed process backend degrades to
-thread/serial, transient faults retry with deterministic seeded jitter,
+serial, transient faults retry with deterministic seeded jitter,
 retries respect request deadlines, corrupt cache entries are detected
 and re-simulated, and ``close()`` retires every warm engine even when
 one engine's close raises.
@@ -23,7 +23,11 @@ from repro.service import (
     SimulationService,
     WorkloadSpec,
 )
-from repro.service.resilience import BackoffSchedule, CircuitBreaker
+from repro.service.resilience import (
+    DEGRADATION_LADDER,
+    BackoffSchedule,
+    CircuitBreaker,
+)
 
 CYCLES = 30
 
@@ -129,9 +133,21 @@ class TestPolicyUnits:
     def test_config_rejects_non_policy(self):
         with pytest.raises(TypeError):
             ServiceConfig(resilience="retry-lots")
+        for execution in ("warp", "thread"):
+            with pytest.raises(ValueError, match="execution must be one of"):
+                ServiceConfig(execution=execution)
 
 
 class TestDegradation:
+    def test_ladder_rungs(self):
+        """A process fleet degrades straight to serial; the in-process
+        modes have nowhere lower to go."""
+        assert DEGRADATION_LADDER == {
+            "process": ("process", "serial"),
+            "serial": ("serial",),
+            "direct": ("direct",),
+        }
+
     def test_process_force_failed_degrades_and_stays_bit_identical(
         self, service_library, baseline
     ):
@@ -169,13 +185,14 @@ class TestDegradation:
                 (
                     FaultSpec(
                         kind="raise", scope="service",
-                        executor="thread", times=0,
+                        executor="process", times=0,
                     ),
                 )
             )
         )
         service = make_service(
-            service_library, execution="thread", cache_bytes=0,
+            service_library, execution="process", workers=2,
+            cache_bytes=0,
             resilience=ResiliencePolicy(
                 max_retries=0, backoff_base_s=0.001,
                 backoff_cap_s=0.002, breaker_threshold=1,
@@ -293,7 +310,7 @@ class TestCacheCorruption:
 class TestCloseCollectAndReraise:
     def test_one_bad_engine_cannot_leak_the_rest(self, service_library):
         service = make_service(
-            service_library, execution="thread", cache_bytes=0
+            service_library, execution="serial", cache_bytes=0
         )
         # Two warm engines (distinct group keys via cycle counts).
         service.run([request_for(0)])

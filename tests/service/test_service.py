@@ -162,7 +162,7 @@ class TestAdmissionControl:
         assert fresh.result().values["operations_total"] >= 0
         assert service.stats().shed == 1
 
-    @pytest.mark.parametrize("execution", ("thread", "process"))
+    @pytest.mark.parametrize("execution", ("serial", "process"))
     def test_shedding_under_fleet_executors(
         self, service_library, execution
     ):
@@ -234,7 +234,7 @@ class TestStats:
         assert stats.merge_s >= 0
 
     def test_warm_engine_reuse_across_ticks(self, service_library):
-        service = make_service(service_library, execution="thread")
+        service = make_service(service_library, execution="serial")
         try:
             first = service.run([request_for(1), request_for(2)])
             second = service.run([request_for(1), request_for(2)])
@@ -248,7 +248,7 @@ class TestStats:
 
     def test_reuse_counts_with_cache_disabled(self, service_library):
         service = make_service(
-            service_library, execution="thread", cache_bytes=0
+            service_library, execution="serial", cache_bytes=0
         )
         try:
             first = service.run([request_for(5), request_for(6)])
@@ -265,7 +265,7 @@ class TestStats:
 
     def test_engine_cache_zero_disables_reuse(self, service_library):
         service = make_service(
-            service_library, execution="thread", cache_bytes=0,
+            service_library, execution="serial", cache_bytes=0,
             engine_cache=0,
         )
         service.run([request_for(5)])
@@ -278,7 +278,7 @@ class TestStats:
         self, service_library
     ):
         service = make_service(
-            service_library, execution="thread", cache_bytes=0
+            service_library, execution="serial", cache_bytes=0
         )
         baseline = service.run([request_for(7)])
         service.close()
