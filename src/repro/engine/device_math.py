@@ -501,20 +501,82 @@ class BatchDeviceSet:
     def stage_delay_inv_nor(
         self, supply, temperature_c=ROOM_TEMPERATURE_C
     ) -> np.ndarray:
-        """Per-die INV + NOR replica-cell delay (the TDC's unit delay)."""
-        inv = self.propagation_delay(
-            StageKind.INVERTER,
-            supply,
-            temperature_c=temperature_c,
-            load_stage=StageKind.NOR2,
+        """Per-die INV + NOR replica-cell delay (the TDC's unit delay).
+
+        Bit-identical to ``propagation_delay(INVERTER, load_stage=NOR2)
+        + propagation_delay(NOR2, load_stage=INVERTER)``, with each EKV
+        term evaluated once: the saturation term depends only on the
+        supply and kT/q, so both polarities share it; the forward factor
+        depends on the polarity, not the width; and INV and NOR2 pull
+        down through the same NMOS width and stack, so they share one
+        pull-down current.  Same expressions in the same order as
+        :meth:`_drain_current` and :meth:`propagation_delay`.
+        """
+        supply_arr = np.asarray(supply, dtype=float)
+        if np.any(supply_arr <= 0):
+            raise ValueError("supply must be positive")
+        temp_arr = np.asarray(temperature_c, dtype=float)
+        vt = _column(
+            BOLTZMANN * (temp_arr + CELSIUS_TO_KELVIN) / ELECTRON_CHARGE,
+            supply_arr,
         )
-        nor = self.propagation_delay(
-            StageKind.NOR2,
-            supply,
-            temperature_c=temperature_c,
-            load_stage=StageKind.INVERTER,
+        abs_supply = np.abs(supply_arr)
+        saturation = 1.0 - np.exp(-abs_supply / vt)
+        vth_shift = self.temperature.threshold_shift(temperature_c, supply_arr)
+        mobility = self.temperature.mobility_scale(temperature_c, supply_arr)
+        # The terms above keep the supply's shape (a scalar stays one).
+        # Every temporary below has the result's full shape and is
+        # consumed in place; an out= ufunc computes the same value as the
+        # out-of-place expression it replaces.
+
+        def forward(params: PolarityArrays) -> np.ndarray:
+            vth = _column(params.dibl_coefficient, supply_arr) * abs_supply
+            np.subtract(
+                _column(params.vth_base, supply_arr) + vth_shift, vth, out=vth
+            )
+            overdrive = np.subtract(supply_arr, vth, out=vth)
+            overdrive /= _column(params.slope_factor, supply_arr) * vt
+            overdrive /= 2.0
+            factor = np.logaddexp(0.0, overdrive, out=overdrive)
+            return np.square(factor, out=factor)
+
+        def drive(params, width, stack, forward_factor, out=None):
+            i_spec = (
+                _column(params.specific_current, supply_arr)
+                * mobility
+                * (width / MOSFET_LENGTH_UM)
+            )
+            current = np.multiply(i_spec, forward_factor, out=out)
+            current *= saturation
+            current /= stack
+            return current
+
+        inv = _STAGE_SIZING[StageKind.INVERTER]
+        nor = _STAGE_SIZING[StageKind.NOR2]
+        forward_n = forward(self.nmos)
+        pull_down = drive(
+            self.nmos, inv["wn"], inv["stack_n"], forward_n, out=forward_n
         )
-        return inv + nor
+        forward_p = forward(self.pmos)
+        inv_up = drive(self.pmos, inv["wp"], inv["stack_p"], forward_p)
+        nor_up = drive(
+            self.pmos, nor["wp"], nor["stack_p"], forward_p, out=forward_p
+        )
+
+        def delay(stage, load_stage, pull_up):
+            # 0.5 * (rise + fall), consuming pull_up.
+            c_load = _column(
+                self.load_capacitance(stage, 1.0, load_stage, 0.0), supply_arr
+            )
+            numerator = np.multiply(self.delay_constant * c_load, supply_arr)
+            rise = np.divide(numerator, pull_up, out=pull_up)
+            rise += np.divide(numerator, pull_down, out=numerator)
+            rise *= 0.5
+            return rise
+
+        cell = delay(StageKind.INVERTER, StageKind.NOR2, inv_up)
+        cell += delay(StageKind.NOR2, StageKind.INVERTER, nor_up)
+        return cell
 
     def leakage_current(
         self, stage: StageKind, supply, temperature_c=ROOM_TEMPERATURE_C
@@ -689,17 +751,39 @@ class BatchEnergyModel:
         positive = supply_arr > 0
         safe = np.where(positive, supply_arr, 1.0)
         cycle_time, leakage = self._fused_queries(safe, temperature_c)
+        draw = self._positive_current_draw(
+            safe,
+            self.dynamic_energy(safe),
+            cycle_time,
+            leakage,
+            operations_per_second,
+        )
+        return np.where(positive, draw, 0.0)
+
+    def _positive_current_draw(
+        self,
+        supply: np.ndarray,
+        dynamic_energy: np.ndarray,
+        cycle_time: np.ndarray,
+        leakage: np.ndarray,
+        operations_per_second: Optional[float],
+    ) -> np.ndarray:
+        """:meth:`current_draw` at positive supplies, from this model's
+        ``dynamic_energy``, ``cycle_time`` and ``leakage_current`` there.
+
+        The one home of the current-draw formula: :meth:`current_draw`
+        and the tabulated build (which already holds the three terms)
+        both call it.
+        """
         max_rate = 1.0 / cycle_time
         if operations_per_second is None:
             rate = max_rate
         else:
             rate = np.minimum(operations_per_second, max_rate)
         dynamic_charge = (
-            self.dynamic_energy(safe)
-            * (1.0 + self.load.short_circuit_fraction)
-            / safe
+            dynamic_energy * (1.0 + self.load.short_circuit_fraction) / supply
         )
-        return np.where(positive, leakage + dynamic_charge * rate, 0.0)
+        return leakage + dynamic_charge * rate
 
 
 def batch_measure_tdc_counts(

@@ -21,6 +21,18 @@ operates (the subthreshold exponential is locally near-linear at a
 closed-loop consequences (MEP supply within one grid step, final
 voltages within rtol, identical converged LUT corrections).
 
+The build is the fast tier's up-front cost.  One fused EKV pass over
+the grid (``BatchEnergyModel._fused_queries``) answers ``cycle_time``
+and ``leakage_current`` and feeds ``current_draw``; every TDC step edge
+is bisected on the replica cell.  Both builds run over cache-sized
+blocks of dies, and every table is bit-identical to evaluating the
+exact model on the whole grid at once.  On a 2-vCPU Xeon VM a build
+costs about 130 exact cycles at 512 dies and 225 at 4096, so a
+tabulated run pays it back after horizons of about 180 and 360 cycles
+(ARCHITECTURE.md gives the method).  The service and
+``FleetEngine.reset(population=...)`` rebuild the tables on every
+population swap.
+
 Selection is per engine: ``BatchEngine(..., device_model="tabulated")``
 opts in; ``"exact"`` (the default) routes the same four questions
 through :class:`ExactDeviceResponse`, a thin adapter over
@@ -42,6 +54,21 @@ DEFAULT_TABLE_POINTS = 1024
 _RESPONSE_CHANNELS = (
     "current_draw", "cycle_time", "leakage_current", "dynamic_energy"
 )
+
+_BLOCK_ELEMENTS = 1 << 15
+"""Elements per float64 temporary of the blocked table builds (256 KiB).
+
+Both builds evaluate ``_BLOCK_ELEMENTS // width`` dies at a time (32
+rows of the default 1024-point grid, 504 rows of the default 65 TDC
+thresholds), so a block's temporaries stay cache-sized instead of
+streaming ``(N, width)`` arrays through memory."""
+
+
+def _row_blocks(n: int, width: int):
+    """Yield the row slices of an ``(n, width)`` build, one per block."""
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
 
 
 class ExactDeviceResponse:
@@ -160,25 +187,33 @@ class TdcCodeTables:
         delay_bounds = np.where(
             reachable, window / np.maximum(thresholds, 1), np.inf
         )
-        lo = np.full((n, thresholds.size), self._V_FLOOR)
-        hi = np.full((n, thresholds.size), max(float(v_max), 1.0))
 
-        def crossed(supply):
-            cell = sensor.stage_delay_inv_nor(
+        def crossed(block, supply):
+            cell = block.stage_delay_inv_nor(
                 supply, temperature_c=temperature_c
             )
             return cell <= delay_bounds
 
-        at_floor = crossed(lo)
-        at_ceiling = crossed(hi)
-        for _ in range(self._BISECT_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            hit = crossed(mid)
-            hi = np.where(hit, mid, hi)
-            lo = np.where(hit, lo, mid)
-        breaks = hi
-        breaks[at_floor] = -np.inf      # step sits below the search floor
-        breaks[~at_ceiling] = np.inf    # step never fires in range
+        v_ceiling = max(float(v_max), 1.0)
+        breaks = np.empty((n, thresholds.size))
+        for rows in _row_blocks(n, thresholds.size):
+            block = sensor.shard(rows)
+            shape = (rows.stop - rows.start, thresholds.size)
+            lo = np.full(shape, self._V_FLOOR)
+            hi = np.full(shape, v_ceiling)
+            mid = np.empty(shape)
+            at_floor = crossed(block, lo)
+            at_ceiling = crossed(block, hi)
+            # In place, but every element takes the same bisection path
+            # as an unblocked mid = 0.5 * (lo + hi) with np.where updates.
+            for _ in range(self._BISECT_ITERATIONS):
+                np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
+                hit = crossed(block, mid)
+                np.copyto(hi, mid, where=hit)
+                np.copyto(lo, mid, where=~hit)
+            hi[at_floor] = -np.inf      # step sits below the search floor
+            hi[~at_ceiling] = np.inf    # step never fires in range
+            breaks[rows] = hi
         breaks[:, always_on] = -np.inf
         breaks[:, never_on] = np.inf
         self.code_breaks = np.ascontiguousarray(breaks[:, :-2])
@@ -287,31 +322,41 @@ class ResponseTables:
         grid = np.linspace(0.0, self.v_max, self.points)
         self.grid = grid
         n = energy.n
-        supply = np.broadcast_to(grid, (n, self.points))
         # cycle_time refuses non-positive supplies; evaluate the v=0
         # column at the first positive grid point instead (the loop only
         # asks for cycle_time above the 50 mV runnable floor, so the
         # first cell's flat extrapolation is never observed).
         positive = np.where(grid > 0.0, grid, grid[1])
-        positive_supply = np.broadcast_to(positive, (n, self.points))
         self._tables = {
-            "current_draw": np.ascontiguousarray(
-                energy.current_draw(
-                    supply,
-                    self.temperature_c,
-                    operations_per_second=nominal_throughput,
-                )
-            ),
-            "cycle_time": np.ascontiguousarray(
-                energy.cycle_time(positive_supply, self.temperature_c)
-            ),
-            "leakage_current": np.ascontiguousarray(
-                energy.leakage_current(positive_supply, self.temperature_c)
-            ),
-            "dynamic_energy": np.ascontiguousarray(
-                energy.dynamic_energy(supply)
-            ),
+            name: np.empty((n, self.points)) for name in _RESPONSE_CHANNELS
         }
+        for rows in _row_blocks(n, self.points):
+            block = BatchEnergyModel(energy.devices.shard(rows), energy.load)
+            count = rows.stop - rows.start
+            positive_supply = np.broadcast_to(positive, (count, self.points))
+            # One fused EKV pass answers cycle_time and leakage_current
+            # (bit-identical to the standalone methods) and feeds
+            # current_draw, whose positive supplies are the same points.
+            cycle_time, leakage = block._fused_queries(
+                positive_supply, self.temperature_c
+            )
+            dynamic = block.dynamic_energy(
+                np.broadcast_to(grid, (count, self.points))
+            )
+            draw = block._positive_current_draw(
+                positive_supply,
+                dynamic,
+                cycle_time,
+                leakage,
+                nominal_throughput,
+            )
+            # The grid starts at v = 0, where current_draw's
+            # non-positive-supply guard answers 0.0.
+            draw[:, 0] = 0.0
+            self._tables["current_draw"][rows] = draw
+            self._tables["cycle_time"][rows] = cycle_time
+            self._tables["leakage_current"][rows] = leakage
+            self._tables["dynamic_energy"][rows] = dynamic
         self.short_circuit_fraction = float(
             energy.load.short_circuit_fraction
         )

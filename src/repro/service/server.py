@@ -31,7 +31,9 @@ response carries ``Content-Length`` so HTTP/1.1 keep-alive connections
 stay usable for open-loop load generation — and ``do_POST`` consumes
 the request body *before* routing, so even a 404/503 short-circuit
 leaves the connection clean for the next request (unread body bytes
-would otherwise be parsed as the next request line).
+would otherwise be parsed as the next request line).  A client that
+resets or closes its connection mid-exchange is counted in
+``repro_gateway_disconnects_total``; it prints no traceback.
 
 Tracing: when the underlying service has a tracer, every ``POST
 /simulate`` opens an ``http.request`` root span.  The trace id is taken
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -250,9 +253,20 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             root.end()
 
 
+_DISCONNECTS = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
+"""Errors of a client that went away mid-exchange (not a server fault)."""
+
+
 class _GatewayServer(ThreadingHTTPServer):
     daemon_threads = True
     gateway: "ServiceGateway"
+
+    def handle_error(self, request, client_address) -> None:
+        """Count a client disconnect; report anything else as usual."""
+        if isinstance(sys.exc_info()[1], _DISCONNECTS):
+            self.gateway._m_disconnects.inc()
+        else:
+            super().handle_error(request, client_address)
 
 
 class _MetricsHandler(BaseHTTPRequestHandler):
@@ -344,6 +358,10 @@ class ServiceGateway:
             "HTTP responses by status code.",
             labelnames=("status",),
         )
+        self._m_disconnects = registry.counter(
+            "repro_gateway_disconnects_total",
+            "Connections the client reset or closed mid-exchange.",
+        ).labels()
 
     def _log(self, line: str) -> None:
         """Per-request log hook; default drops the line (load tests)."""

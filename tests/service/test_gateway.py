@@ -8,7 +8,10 @@ of its own.
 
 import http.client
 import json
+import socket
+import struct
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -339,3 +342,71 @@ class TestKeepAliveReuse:
             assert "values" in payload
         finally:
             connection.close()
+
+
+def _disconnects(gateway):
+    snapshot = gateway.service.metrics_snapshot()
+    return snapshot.value("repro_gateway_disconnects_total")
+
+
+class TestClientDisconnects:
+    """A client that resets its connection is counted, not printed."""
+
+    def test_reset_mid_request_is_counted_without_traceback(
+        self, gateway, monkeypatch, capfd
+    ):
+        entered = threading.Event()
+        reset = threading.Event()
+
+        def gated_submit(request):
+            # Hold the handler until the client has reset, so the
+            # reply is written to a dead connection.
+            entered.set()
+            reset.wait(timeout=10)
+            raise AdmissionError("queue at capacity")
+
+        before = _disconnects(gateway)
+        body = json.dumps({"cycles": 10}).encode("utf-8")
+        with monkeypatch.context() as patched:
+            patched.setattr(gateway.service, "submit", gated_submit)
+            for _ in range(3):
+                entered.clear()
+                reset.clear()
+                client = socket.create_connection(gateway.address, 10)
+                client.sendall(
+                    b"POST /simulate HTTP/1.1\r\n"
+                    b"Content-Type: application/json\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body
+                )
+                assert entered.wait(timeout=10)
+                client.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0),
+                )
+                client.close()  # linger 0: the kernel sends RST
+                reset.set()
+            deadline = time.monotonic() + 10
+            while (
+                _disconnects(gateway) == before
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+        assert _disconnects(gateway) >= before + 1
+        assert _exchange(gateway, "GET", "/healthz") == (
+            200,
+            {"status": "ok"},
+        )
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_other_handler_errors_keep_the_default_report(
+        self, gateway, capfd
+    ):
+        before = _disconnects(gateway)
+        try:
+            raise ValueError("a server fault")
+        except ValueError:
+            gateway._server.handle_error(None, ("127.0.0.1", 0))
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "a server fault" in err
+        assert _disconnects(gateway) == before

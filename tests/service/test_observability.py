@@ -10,7 +10,8 @@ Four pinned contracts:
    and ``submitted == completed + shed + failed + queue_depth +
    in_flight`` hold in every snapshot;
 3. **/metrics** — valid Prometheus text exposition with the core series
-   present and monotone across scrapes;
+   present and monotone across scrapes, and ARCHITECTURE.md's series
+   table naming exactly the registered series, kinds and label keys;
 4. **trace trees** — a traced HTTP request's JSONL spans reconstruct
    the full submit → queue → batch → engine → scatter → HTTP tree under
    the wire-propagated ``X-Repro-Trace`` id.
@@ -19,8 +20,10 @@ Four pinned contracts:
 import http.client
 import json
 import math
+import re
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +311,56 @@ class TestMetricsEndpoint:
                 assert run_phase.sum > 0.0
             finally:
                 connection.close()
+
+
+ARCHITECTURE = Path(__file__).resolve().parents[2] / "ARCHITECTURE.md"
+
+
+def documented_series():
+    """``{name: (kind, label keys)}`` from ARCHITECTURE.md's table.
+
+    Each row names one series in full in its first cell; the label
+    cell lists the label keys in backticks (values follow unquoted).
+    """
+    lines = ARCHITECTURE.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| series | kind | labels |") + 2
+    series = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name_cell, kind, labels = (
+            cell.strip() for cell in line.strip().strip("|").split("|")
+        )
+        name = re.fullmatch(r"`(repro_[a-z_]+)`", name_cell)
+        assert name is not None, f"not one full series name: {line}"
+        assert name.group(1) not in series, f"listed twice: {line}"
+        series[name.group(1)] = (
+            kind, tuple(sorted(re.findall(r"`(\w+)`", labels)))
+        )
+    return series
+
+
+class TestMetricsDocs:
+    def test_architecture_table_matches_registry(self, library, tmp_path):
+        # A disk tier registers the persist series; the gateway adds
+        # its own families to the service's registry.
+        service = SimulationService(
+            library=library,
+            config=ServiceConfig(persist_dir=str(tmp_path)),
+        )
+        try:
+            gateway = ServiceGateway(service=service, port=0)
+            registered = {
+                family.name: (family.kind, tuple(sorted(family.labelnames)))
+                for family in gateway.service.metrics_snapshot().families
+            }
+        finally:
+            service.close()
+        documented = documented_series()
+        assert sorted(set(documented) - set(registered)) == []
+        assert sorted(set(registered) - set(documented)) == []
+        for name, entry in registered.items():
+            assert documented[name] == entry, name
 
 
 class TestTraceTreeOverHttp:
