@@ -5,14 +5,14 @@ root **only when** ``REPRO_BENCH_RECORD=1`` is set (the CI bench job
 sets it; a plain pytest run must not dirty the working tree):
 
 * closed-loop controller throughput — system die-cycles per second for
-  the legacy scalar loop (one die) versus the batched engine (a Monte
-  Carlo fleet of dies advancing together),
+  the pure-Python ``run_reference`` loop (one die) versus the batched
+  engine (a Monte Carlo fleet of dies advancing together),
 * Monte Carlo MEP analysis throughput — samples per second for the
   seed's per-sample solve loop versus the single ``(N, S)`` energy-grid
   evaluation,
-* the step-kernel sweep — legacy vs fused vs fused+tabulated
-  die-cycles/s on the dense 512-die closed loop and the 256-die
-  streaming configuration (the PR-3 ``step_kernel`` section),
+* the cycle-kernel sweep — fused exact vs fused+tabulated die-cycles/s
+  on the dense 512-die closed loop and the 256-die streaming
+  configuration (the ``cycle_kernel`` section),
 * the streaming long run — a ``>= 100k cycles x 256 dies`` closed-loop
   run under :class:`StreamingTrace`, completing within a fixed
   telemetry-memory bound where a dense trace cannot (timed over a
@@ -92,18 +92,19 @@ PERSISTENT_CHUNK = 50
 TELEMETRY_MEMORY_BOUND = 256 * 1024 * 1024
 """Fixed telemetry budget (bytes) the streaming long run must fit in."""
 
-STEP_KERNEL_BASELINE_CYCLES = 5000
-"""Cycles for the (slow) legacy baselines of the step_kernel streaming
-measurement — streaming throughput is cycle-count independent, so the
-baseline need not crawl through the full long run."""
+CYCLE_KERNEL_BASELINE_CYCLES = 5000
+"""Cycles for the (slow) exact-model baseline of the cycle_kernel
+streaming measurement — streaming throughput is cycle-count
+independent, so the baseline need not crawl through the full long
+run."""
 
 PR2_DENSE_DIE_CYCLES_PER_SECOND = 275102.2184069381
 PR2_STREAMING_DIE_CYCLES_PER_SECOND = 51151.40127881346
 """The PR-2 BENCH_engine.json numbers for the 512-die dense closed loop
 (`closed_loop.batched_die_cycles_per_second`) and the 256-die x 100k
 streaming run (`fleet.streaming_long_run.die_cycles_per_second`),
-recorded on this same container — the reference the step_kernel speedup
-bars are quoted against."""
+recorded on the single-CPU reference host — the reference the
+cycle_kernel speedup bars are quoted against."""
 
 
 def _best_of(callable_, repeats=3):
@@ -296,8 +297,8 @@ def _persistent_fleet_bench(library, reference_lut):
     }
 
 
-def _step_kernel_bench(library, reference_lut):
-    """Fused-kernel / tabulated-response throughput vs the legacy step.
+def _cycle_kernel_bench(library, reference_lut):
+    """Fused-kernel throughput, exact vs tabulated device response.
 
     Two workload configurations, matching the PR-2 headline numbers:
     the 512-die x 400-cycle dense closed loop and the 256-die x
@@ -340,18 +341,14 @@ def _step_kernel_bench(library, reference_lut):
             lambda: None, repeats=3, **kwargs
         )
 
-    dense_legacy = dense(step_kernel="legacy")
     dense_fused = dense()
     dense_tabulated = dense(device_model="tabulated")
     dense_section = {
         "dies": FLEET_SIZE,
         "system_cycles": CONTROLLER_CYCLES,
-        "legacy_die_cycles_per_second": dense_legacy,
         "fused_exact_die_cycles_per_second": dense_fused,
         "fused_tabulated_die_cycles_per_second": dense_tabulated,
-        "ring_vs_shifted_speedup": dense_fused / dense_legacy,
         "tabulated_vs_exact_speedup": dense_tabulated / dense_fused,
-        "tabulated_speedup_vs_legacy": dense_tabulated / dense_legacy,
         "pr2_die_cycles_per_second": PR2_DENSE_DIE_CYCLES_PER_SECOND,
         "tabulated_speedup_vs_pr2": (
             dense_tabulated / PR2_DENSE_DIE_CYCLES_PER_SECOND
@@ -361,17 +358,13 @@ def _step_kernel_bench(library, reference_lut):
     # --- streaming long run: 256 dies, StreamingTrace, one engine -----
     samples = MonteCarloSampler(seed=29).draw_arrays(LONG_RUN_DIES)
     population = BatchPopulation.from_samples(library, samples)
-    baseline_cycles = min(STEP_KERNEL_BASELINE_CYCLES, LONG_RUN_CYCLES)
+    baseline_cycles = min(CYCLE_KERNEL_BASELINE_CYCLES, LONG_RUN_CYCLES)
     baseline_arrivals = constant_arrival_matrix(
         [ARRIVAL_RATE], SYSTEM_PERIOD, baseline_cycles
     )[0]
     long_arrivals = constant_arrival_matrix(
         [ARRIVAL_RATE], SYSTEM_PERIOD, LONG_RUN_CYCLES
     )[0]
-    stream_legacy = timed_run(
-        population, baseline_arrivals, baseline_cycles,
-        StreamingTrace, repeats=1, step_kernel="legacy",
-    )
     stream_fused = timed_run(
         population, baseline_arrivals, baseline_cycles,
         StreamingTrace, repeats=1,
@@ -384,12 +377,9 @@ def _step_kernel_bench(library, reference_lut):
         "dies": LONG_RUN_DIES,
         "system_cycles": LONG_RUN_CYCLES,
         "baseline_system_cycles": baseline_cycles,
-        "legacy_die_cycles_per_second": stream_legacy,
         "fused_exact_die_cycles_per_second": stream_fused,
         "fused_tabulated_die_cycles_per_second": stream_tabulated,
-        "ring_vs_shifted_speedup": stream_fused / stream_legacy,
         "tabulated_vs_exact_speedup": stream_tabulated / stream_fused,
-        "tabulated_speedup_vs_legacy": stream_tabulated / stream_legacy,
         "pr2_die_cycles_per_second": PR2_STREAMING_DIE_CYCLES_PER_SECOND,
         "tabulated_speedup_vs_pr2": (
             stream_tabulated / PR2_STREAMING_DIE_CYCLES_PER_SECOND
@@ -477,11 +467,11 @@ def bench_results(library, reference_lut):
         },
     }
     if RECORD:
-        # The fleet timing sweep, the step-kernel sweep and the (long)
+        # The fleet timing sweep, the cycle-kernel sweep and the (long)
         # streaming run only execute on recording runs; plain pytest
         # stays fast and leaves the committed BENCH_engine.json
         # untouched.
-        results["step_kernel"] = _step_kernel_bench(library, reference_lut)
+        results["cycle_kernel"] = _cycle_kernel_bench(library, reference_lut)
         results["fleet"] = {
             "streaming_long_run": _streaming_long_run(
                 library, reference_lut
@@ -670,31 +660,29 @@ def test_streaming_long_run_fits_memory_bound(bench_results):
 
 
 @pytest.mark.skipif(
-    not RECORD, reason="step-kernel sweep needs REPRO_BENCH_RECORD=1"
+    not RECORD, reason="cycle-kernel sweep needs REPRO_BENCH_RECORD=1"
 )
-def test_step_kernel_speedup_bars(bench_results):
-    """Acceptance: the fused kernel + tabulated response deliver >= 3x
-    die-cycles/s on the 512-die dense closed loop and >= 5x on the
-    256-die streaming configuration over the legacy per-cycle path."""
-    kernel = bench_results["step_kernel"]
+def test_cycle_kernel_speedup_bars(bench_results):
+    """Acceptance: the tabulated response delivers >= 3x the fused exact
+    kernel's die-cycles/s on the 512-die dense closed loop and on the
+    256-die streaming configuration."""
+    kernel = bench_results["cycle_kernel"]
     dense = kernel["dense_closed_loop"]
     stream = kernel["streaming_long_run"]
     print(
-        f"\nStep kernel (dense {dense['dies']} dies): "
-        f"{dense['legacy_die_cycles_per_second']:8.0f} legacy vs "
-        f"{dense['fused_exact_die_cycles_per_second']:8.0f} fused vs "
+        f"\nCycle kernel (dense {dense['dies']} dies): "
+        f"{dense['fused_exact_die_cycles_per_second']:8.0f} exact vs "
         f"{dense['fused_tabulated_die_cycles_per_second']:8.0f} tabulated "
-        f"die-cycles/s ({dense['tabulated_speedup_vs_legacy']:.2f}x)"
+        f"die-cycles/s ({dense['tabulated_vs_exact_speedup']:.2f}x)"
     )
     print(
-        f"Step kernel (streaming {stream['dies']} dies): "
-        f"{stream['legacy_die_cycles_per_second']:8.0f} legacy vs "
-        f"{stream['fused_exact_die_cycles_per_second']:8.0f} fused vs "
+        f"Cycle kernel (streaming {stream['dies']} dies): "
+        f"{stream['fused_exact_die_cycles_per_second']:8.0f} exact vs "
         f"{stream['fused_tabulated_die_cycles_per_second']:8.0f} tabulated "
-        f"die-cycles/s ({stream['tabulated_speedup_vs_legacy']:.2f}x)"
+        f"die-cycles/s ({stream['tabulated_vs_exact_speedup']:.2f}x)"
     )
-    assert dense["tabulated_speedup_vs_legacy"] >= 3.0
-    assert stream["tabulated_speedup_vs_legacy"] >= 3.0
+    assert dense["tabulated_vs_exact_speedup"] >= 3.0
+    assert stream["tabulated_vs_exact_speedup"] >= 3.0
     # The vs-PR-2 bar is a *same-host* comparison: it only applies on
     # the single-CPU reference container the PR-2 numbers were recorded
     # on.  Elsewhere (CI runners of arbitrary speed) the relative
@@ -704,23 +692,20 @@ def test_step_kernel_speedup_bars(bench_results):
         assert dense["tabulated_speedup_vs_pr2"] >= 3.0
 
 
-def test_bench_record_has_step_kernel_section():
-    """The committed BENCH_engine.json carries the step-kernel results
+def test_bench_record_has_cycle_kernel_section():
+    """The committed BENCH_engine.json carries the cycle-kernel results
     and meets the PR's speedup bars."""
     record = json.loads(RESULT_PATH.read_text())
-    kernel = record["step_kernel"]
+    kernel = record["cycle_kernel"]
     for section in ("dense_closed_loop", "streaming_long_run"):
         for key in (
-            "legacy_die_cycles_per_second",
             "fused_exact_die_cycles_per_second",
             "fused_tabulated_die_cycles_per_second",
-            "ring_vs_shifted_speedup",
             "tabulated_vs_exact_speedup",
-            "tabulated_speedup_vs_legacy",
         ):
             assert key in kernel[section], (section, key)
-    assert kernel["dense_closed_loop"]["tabulated_speedup_vs_legacy"] >= 3.0
-    assert kernel["streaming_long_run"]["tabulated_speedup_vs_legacy"] >= 3.0
+    assert kernel["dense_closed_loop"]["tabulated_vs_exact_speedup"] >= 3.0
+    assert kernel["streaming_long_run"]["tabulated_vs_exact_speedup"] >= 3.0
     # Same-host claim: only meaningful when the record was produced on
     # the single-CPU container the PR-2 reference numbers came from.
     if record["environment"]["cpu_count"] == 1:

@@ -23,14 +23,15 @@ a batch-of-one wrapper that seeds the engine from its component state,
 runs it, and hands the resulting state back to the scalar components:
 FIFO occupancy and statistics, LUT correction history, DC-DC registers
 and filter state, and comparator decision counters all end a run
-exactly where the legacy loop would leave them.  One deliberate
+exactly where :meth:`run_reference` would leave them.  One deliberate
 exception: engine-backed runs do not append per-cycle
 ``DcDcCycleRecord`` objects to ``controller.dcdc.records`` (that
 per-object telemetry is exactly the overhead the engine removes) —
 the returned :class:`ControllerTrace` carries the per-cycle telemetry
 instead.  The original pure-Python loops survive as
-:meth:`run_reference` / :meth:`run_schedule_reference` and pin down the
-engine's cycle-for-cycle parity in ``tests/engine``.
+:meth:`run_reference` / :meth:`run_schedule_reference`: the engine's
+physics oracle, which every engine run matches bit for bit
+(``tests/engine``).
 """
 
 from __future__ import annotations
@@ -236,6 +237,11 @@ class ControllerTrace:
         return self._columns["operations_completed"]
 
     @property
+    def samples_dropped(self) -> np.ndarray:
+        """Return the input samples lost to FIFO overflow per cycle."""
+        return self._columns["samples_dropped"]
+
+    @property
     def energies(self) -> np.ndarray:
         """Return the load energy per cycle (joules)."""
         return self._columns["energies"]
@@ -319,7 +325,7 @@ class AdaptiveController:
         self.compensation_enabled = compensation_enabled
         self.nominal_throughput = nominal_throughput
         # "exact" (default) keeps engine-backed runs bit-identical to
-        # the legacy loops; "tabulated" trades that for interpolated
+        # the reference loops; "tabulated" trades that for interpolated
         # device responses (see repro.engine.response_tables).
         self.device_model = device_model
         self.reference_delay_model = reference_delay_model
@@ -477,7 +483,7 @@ class AdaptiveController:
         Works from the engine's state accumulators and sparse correction
         log rather than a dense trace, so any telemetry sink (streaming,
         null) still leaves the scalar components exactly where the
-        legacy loop would.
+        reference loop would.
         """
         state = engine.state
         # LUT: replay each correction change so the history granularity
@@ -599,17 +605,17 @@ class AdaptiveController:
         return self._finish_run(result)
 
     # ------------------------------------------------------------------
-    # Reference (legacy scalar) run loops
+    # Reference (pure-Python scalar) run loops
     # ------------------------------------------------------------------
     def run_reference(
         self,
         arrivals: ArrivalFunction,
         system_cycles: int,
     ) -> ControllerTrace:
-        """Original pure-Python cycle loop, kept as the parity reference.
+        """Original pure-Python cycle loop, kept as the physics oracle.
 
-        Semantically identical to :meth:`run`; the batched engine is
-        validated cycle-for-cycle against this implementation.
+        Semantically identical to :meth:`run`: the batched engine
+        matches this implementation bit for bit, cycle for cycle.
         """
         if system_cycles <= 0:
             raise ValueError("system_cycles must be positive")

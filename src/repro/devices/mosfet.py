@@ -45,10 +45,14 @@ def ekv_inversion(normalized_overdrive):
 
     Accepts scalars or numpy arrays.  Implemented with ``logaddexp`` so it
     does not overflow for large positive overdrive nor underflow to an
-    exact zero for large negative overdrive.
+    exact zero for large negative overdrive.  Squared as ``value * value``:
+    ``** 2`` on a numpy scalar goes through C ``pow()``, which can differ
+    in the last bit from the ``x*x`` numpy uses for arrays, and the
+    scalar and batched device stacks must agree bit for bit.
     """
     x = np.asarray(normalized_overdrive, dtype=float)
-    value = np.logaddexp(0.0, x / 2.0) ** 2
+    value = np.logaddexp(0.0, x / 2.0)
+    value = value * value
     if np.isscalar(normalized_overdrive):
         return float(value)
     return value

@@ -1,10 +1,10 @@
 """Fused per-cycle kernel of the batched engine.
 
 :class:`CycleKernel` is the hot path of
-:meth:`~repro.engine.engine.BatchEngine.step`: the same pipeline as the
-legacy step implementation (FIFO push, rate decision, DC-DC
-preset/sense/trim, averaged buck integration, load drain, energy
-accounting, signature voting) rewritten to
+:meth:`~repro.engine.engine.BatchEngine.step`: the paper's Fig. 5 loop
+(FIFO push, rate decision, DC-DC preset/sense/trim, averaged buck
+integration, load drain, energy accounting, signature voting) advanced
+for every die at once, written to
 
 * evaluate every elementwise expression into a preallocated
   :class:`ScratchBuffers` workspace with ``out=`` ufunc arguments —
@@ -17,11 +17,15 @@ accounting, signature voting) rewritten to
   or :class:`~repro.engine.response_tables.ResponseTables`).
 
 Numerical contract: with ``device_model="exact"`` the kernel performs
-the *same floating-point operations in the same order* as the legacy
-step (in-place evaluation and operand commutation only — both
-bit-preserving), so a fused run is **bit-identical** to a legacy run;
+the *same floating-point operations in the same order* as the scalar
+:meth:`~repro.core.controller.AdaptiveController.run_reference` loop,
+elementwise over the dies (in-place evaluation and operand commutation
+only — both bit-preserving), so every die of a fused run is
+**bit-identical** to a ``run_reference`` / ``run_schedule_reference``
+run of the same silicon on every trace channel.
 ``tests/engine/test_kernels.py`` pins this across partial-window,
-full-window and vote-reset transitions.
+full-window, vote-reset and schedule transitions, and
+``tests/engine/test_differential_fuzz.py`` over randomized scenarios.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ class ScratchBuffers:
     array per telemetry-row channel the step computes fresh each cycle
     (``desired_code``, ``operations_completed``, ``samples_dropped``,
     ``energy``, ``decision``).  Output arrays are only overwritten by
-    the *next* ``step`` call, so sinks may read them until then (the
-    same lifetime the legacy step gives its freshly allocated rows).
+    the *next* ``step`` call, so sinks may read them until then.
     """
 
     def __init__(self, n: int) -> None:
@@ -115,9 +118,9 @@ class CycleKernel:
         """Ring-buffered averaged-occupancy LUT lookup (into out_desired).
 
         The rolling ``history_sum`` update is integer arithmetic, so it
-        equals the legacy re-sum of the window exactly; everything after
-        it is the same expression sequence as the shifted
-        implementation.
+        equals the scalar rate controller's re-sum of its window
+        exactly; everything after it is the same expression sequence as
+        :meth:`~repro.core.rate_controller.RateController.evaluate`.
         """
         s = self.engine.state
         sc = self.scratch

@@ -624,11 +624,8 @@ class _WorkerRuntime:
         engine.lut_fifo_depth = payload.lut_fifo_depth
         state_views = self._block("state", payload.state_spec).views()
         # Placeholder scalars: every command carries the authoritative
-        # values and applies them just before running (ring_buffers must
-        # be right immediately, though — adopt_state validates the
-        # buffer layout).
+        # values and applies them just before running.
         placeholder = {name: 0 for name in STATE_SCALAR_FIELDS}
-        placeholder["ring_buffers"] = engine.step_kernel == "fused"
         full_state = BatchState.from_arrays(state_views, placeholder)
         engine.adopt_state(full_state.shard_view(where))
         self.engines[index] = engine

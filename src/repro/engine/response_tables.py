@@ -77,9 +77,8 @@ class ExactDeviceResponse:
     Adapter giving :class:`BatchEnergyModel` the same four-method
     surface as :class:`ResponseTables` so the fused cycle kernel is
     agnostic to the device model.  ``out`` arguments are accepted for
-    interface parity but ignored — the exact pipeline allocates its own
-    intermediates, which is precisely what keeps it bit-identical to
-    the legacy step implementation.
+    interface parity but ignored: the exact pipeline allocates and
+    returns its own arrays.
     """
 
     def __init__(

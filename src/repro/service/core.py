@@ -883,14 +883,6 @@ class SimulationService:
                     f"unknown reducers {sorted(unknown)}; "
                     f"available: {RESULT_FIELDS}"
                 )
-        if (
-            self.config.execution == "process"
-            and request.step_kernel != "fused"
-        ):
-            raise ValueError(
-                "execution='process' requires step_kernel='fused' "
-                "(the legacy step does not write state in place)"
-            )
 
     def _cache_lookup(self, key: str) -> Optional[Dict[str, Scalar]]:
         """Probe the scenario cache tiers with structural validation.
@@ -1365,7 +1357,6 @@ class SimulationService:
             averaging_window=first.averaging_window,
             initial_correction=corrections,
             device_model=first.device_model,
-            step_kernel=first.step_kernel,
         )
         lut = self._lut(first.sample_rate)
         prep = dict(

@@ -152,8 +152,8 @@ class SimRequest:
     * **per-engine** (must match to coalesce — :meth:`group_key`):
       ``cycles``, ``temperature_c``, ``compensation_enabled``,
       ``feedback``, ``averaging_window``, ``sample_rate`` (which LUT the
-      rate controller is programmed with), ``device_model``,
-      ``step_kernel``, and whether the run is schedule-driven;
+      rate controller is programmed with), ``device_model``, and whether
+      the run is schedule-driven;
     * **quality of service** (never part of :meth:`cache_key`):
       ``deadline_s``, ``reducers``, ``tenant``, ``priority``.
 
@@ -177,7 +177,6 @@ class SimRequest:
     initial_correction: int = 0
     sample_rate: float = 1e5
     device_model: str = "exact"
-    step_kernel: str = "fused"
     reducers: Optional[Tuple[str, ...]] = None
     deadline_s: Optional[float] = None
     tenant: str = "default"
@@ -224,23 +223,14 @@ class SimRequest:
             self.priority, int
         ):
             raise ValueError("priority must be an int")
-        # Fail on unknown device_model/step_kernel at submit time, not
-        # deep inside a coalesced engine build.
-        from repro.engine.engine import DEVICE_MODELS, STEP_KERNELS
+        # Fail on an unknown device_model at submit time, not deep
+        # inside a coalesced engine build.
+        from repro.engine.engine import DEVICE_MODELS
 
         if self.device_model not in DEVICE_MODELS:
             raise ValueError(
                 f"device_model must be one of {DEVICE_MODELS}, "
                 f"got {self.device_model!r}"
-            )
-        if self.step_kernel not in STEP_KERNELS:
-            raise ValueError(
-                f"step_kernel must be one of {STEP_KERNELS}, "
-                f"got {self.step_kernel!r}"
-            )
-        if self.device_model == "tabulated" and self.step_kernel == "legacy":
-            raise ValueError(
-                "the tabulated device model requires the fused step kernel"
             )
 
     # ------------------------------------------------------------------
@@ -252,7 +242,7 @@ class SimRequest:
         Everything here is a per-engine constant of
         :class:`~repro.engine.engine.BatchEngine`: the horizon, the
         shared population temperature, the controller knobs, the LUT
-        programming rate and the execution model.  Whether the run is
+        programming rate and the device model.  Whether the run is
         schedule-driven is included because one engine step either
         applies a schedule to every die or to none.
         """
@@ -264,7 +254,6 @@ class SimRequest:
             int(self.averaging_window),
             float(self.sample_rate),
             self.device_model,
-            self.step_kernel,
             self.schedule_codes is not None,
         )
 
@@ -293,7 +282,6 @@ class SimRequest:
             "initial_correction": int(self.initial_correction),
             "sample_rate": float(self.sample_rate),
             "device_model": self.device_model,
-            "step_kernel": self.step_kernel,
         }
 
     def cache_key(self) -> str:

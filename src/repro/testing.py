@@ -1,4 +1,4 @@
-"""Shared test-harness utilities (differential-fuzz seed plumbing).
+"""Shared test-harness utilities (fuzz seed plumbing, bit comparison).
 
 The engine's differential fuzz harness established a seed protocol the
 whole repository now reuses: a contiguous seed budget sized by
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 from typing import List
+
+import numpy as np
 
 SCENARIOS_ENV = "REPRO_FUZZ_SCENARIOS"
 """How many seeds the contiguous budget covers (tier-1 default: 8)."""
@@ -55,3 +57,22 @@ def replay_message(seed: int, test_path: str) -> str:
         f"[fuzz seed {seed}] replay with "
         f"{SEEDS_ENV}={seed} pytest {test_path}"
     )
+
+
+def assert_bit_identical(actual, expected, err_msg: str = "") -> None:
+    """Assert two arrays are equal bit for bit, not merely in value.
+
+    Float arrays are compared through same-width integer views, so a
+    last-bit difference or ``-0.0`` against ``0.0`` fails; other arrays
+    compare directly.  The dtypes must match.
+    """
+    actual = np.ascontiguousarray(actual)
+    expected = np.ascontiguousarray(expected)
+    if actual.dtype != expected.dtype:
+        raise AssertionError(
+            f"dtype {actual.dtype} != {expected.dtype} {err_msg}"
+        )
+    if actual.dtype.kind == "f":
+        bits = f"i{actual.dtype.itemsize}"
+        actual, expected = actual.view(bits), expected.view(bits)
+    np.testing.assert_array_equal(actual, expected, err_msg=err_msg)

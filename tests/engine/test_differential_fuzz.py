@@ -4,19 +4,19 @@ Hand-picked parity cases (``test_parity.py``, ``test_kernels.py``,
 ``test_fleet.py``) pin known-tricky transitions; this harness instead
 generates *randomized* scenarios — population, variation, workload,
 schedule, window sizes, sharding — and drives each one through every
-``(step_kernel, device_model, executor, sink)`` combination, asserting
+``(device_model, executor, sink)`` combination, asserting
 
-* **bit-identity** between all exact paths: legacy vs fused kernel, and
-  the serial / process fleet executors vs one plain ``BatchEngine``
-  batch (dense traces channel-for-channel, streaming reducers,
-  null-sink state totals),
+* **bit-identity** between all exact paths: the serial / process fleet
+  executors vs one plain ``BatchEngine`` batch (dense traces
+  channel-for-channel, streaming reducers, null-sink state totals),
 * **bit-identity** between executors under the tabulated device model
   (the backends must agree with each other regardless of device model),
 * **tolerance parity** of the tabulated model against the exact one,
-* **scalar parity**: the fused engine against the legacy pure-Python
-  ``AdaptiveController.run_reference`` loop for every die of every
-  scenario (integer channels exactly, float channels at rtol 1e-12, the
-  same bar as ``test_parity.py``).
+* **scalar parity**: the engine against the pure-Python
+  ``AdaptiveController.run_reference`` loop, its physics oracle, for
+  every die of every scenario — bit for bit on every channel, float
+  channels compared through integer views (the same bar as
+  ``test_parity.py``).
 
 Scenario count and seeds are environment-tunable:
 
@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.testing import fuzz_seeds, replay_message
+from repro.testing import assert_bit_identical, fuzz_seeds, replay_message
 
 from repro.circuits.loads import DigitalLoad
 from repro.core.controller import AdaptiveController
@@ -324,18 +324,11 @@ class ReplayArrivals:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_exact_paths_bit_identical(seed, library, fuzz_lut):
-    """Legacy kernel and every (executor, sink) combination must equal
-    the fused single-batch reference bit for bit under the exact device
-    model."""
+    """Every (executor, sink) combination must equal the single-batch
+    reference bit for bit under the exact device model."""
     runs = get_runs(seed, library, fuzz_lut)
     message = runs.sc.replay_message()
     reference = runs.exact
-
-    legacy, legacy_totals = runs.run_batch(step_kernel="legacy")
-    assert_traces_identical(reference, legacy, f"(legacy kernel) {message}")
-    assert_totals_identical(
-        runs.exact_totals, legacy_totals, f"(legacy kernel) {message}"
-    )
 
     for executor in EXECUTORS:
         dense, dense_totals = runs.run_fleet(executor)
@@ -440,13 +433,11 @@ REUSE_COMBOS = (
     {"executor": "process", "telemetry": "dense"},
     {"executor": "serial", "telemetry": "streaming"},
     {"executor": "process", "telemetry": "null"},
-    {"executor": "serial", "telemetry": "dense", "step_kernel": "legacy"},
     {"executor": "process", "telemetry": "dense",
      "device_model": "tabulated"},
 )
-"""Engine-reuse axis coverage: every executor, every sink, the legacy
-kernel (serial-only; the process backend rejects it) and the tabulated
-device model all appear at least once."""
+"""Engine-reuse axis coverage: every executor, every sink and the
+tabulated device model all appear at least once."""
 
 
 def _fingerprint(result, totals, telemetry):
@@ -484,8 +475,8 @@ def test_persistent_engine_reuse_bit_identical(seed, library, fuzz_lut):
     """The engine-reuse axis: repeated ``run()``/``run_chunked()`` calls
     on **one persistent FleetEngine** — with ``reset()`` population
     swaps between calls — must stay bit-identical to fresh cold engines,
-    across every (step_kernel, device_model, executor, sink)
-    combination the backends support."""
+    across every (device_model, executor, sink) combination the
+    backends support."""
     from types import SimpleNamespace
 
     runs = get_runs(seed, library, fuzz_lut)
@@ -515,9 +506,8 @@ def test_persistent_engine_reuse_bit_identical(seed, library, fuzz_lut):
     for combo in REUSE_COMBOS:
         telemetry = combo["telemetry"]
         kwargs = sc.engine_kwargs()
-        for knob in ("step_kernel", "device_model"):
-            if knob in combo:
-                kwargs[knob] = combo[knob]
+        if "device_model" in combo:
+            kwargs["device_model"] = combo["device_model"]
 
         def build(population):
             return FleetEngine(
@@ -669,25 +659,28 @@ def test_chaos_recovery_bit_identical(seed, library, fuzz_lut):
             shared_memory.SharedMemory(name=name)
 
 
-SCALAR_INT_CHANNELS = (
+SCALAR_CHANNELS = (
+    "times",
     "queue_lengths",
     "desired_codes",
+    "output_voltages",
     "duty_values",
     "operations",
+    "samples_dropped",
+    "energies",
     "lut_corrections",
     "decisions",
 )
-SCALAR_FLOAT_CHANNELS = ("times", "output_voltages", "energies")
+"""Every :class:`~repro.core.controller.ControllerTrace` channel."""
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scalar_run_reference_parity(seed, library, fuzz_lut):
     """The batch reference must match the pure-Python scalar loop
     (``run_reference`` / ``run_schedule_reference``) on every die of
-    every scenario: integer channels exactly, float channels at rtol
-    1e-12.  Each die gets its own scalar controller with the scenario's
-    averaging window and its own LUT copy carrying the die's initial
-    correction."""
+    every scenario, bit for bit on every channel.  Each die gets its own
+    scalar controller with the scenario's averaging window and its own
+    LUT copy carrying the die's initial correction."""
     runs = get_runs(seed, library, fuzz_lut)
     sc = runs.sc
     message = sc.replay_message()
@@ -728,17 +721,9 @@ def test_scalar_run_reference_parity(seed, library, fuzz_lut):
         else:
             scalar_trace = controller.run_reference(replay, sc.cycles)
         batch_trace = runs.exact.die(die)
-        for channel in SCALAR_INT_CHANNELS:
-            np.testing.assert_array_equal(
+        for channel in SCALAR_CHANNELS:
+            assert_bit_identical(
                 getattr(batch_trace, channel),
                 getattr(scalar_trace, channel),
-                err_msg=f"{channel} {label}",
-            )
-        for channel in SCALAR_FLOAT_CHANNELS:
-            np.testing.assert_allclose(
-                getattr(batch_trace, channel),
-                getattr(scalar_trace, channel),
-                rtol=1e-12,
-                atol=0.0,
                 err_msg=f"{channel} {label}",
             )

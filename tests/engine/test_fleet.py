@@ -617,12 +617,12 @@ class TestCloseLifecycle:
     def test_close_after_failed_construction(
         self, population, reference_lut
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="log_corrections"):
             FleetEngine(
                 population,
                 reference_lut,
                 fleet=FleetConfig(executor="process"),
-                step_kernel="legacy",
+                log_corrections=True,
             )
         # The half-built engine is only reachable through GC; simulate
         # the partial state close() would see from __del__ there.

@@ -1,25 +1,33 @@
-"""Bit-identity of the fused kernel against the legacy step pipeline.
+"""Bit-identity of the fused kernel against the scalar physics oracle.
 
-The fused :class:`~repro.engine.kernels.CycleKernel` (preallocated
-scratch, ``out=`` ufuncs, ring-buffered history/vote windows) must
-reproduce the legacy shifted-window implementation **bit for bit** under
-the exact device model — across partially filled windows, full windows,
-and vote-collection resets (supply-ceiling resets and applied
-corrections).  These tests pin that, plus the vectorised
-``normalise_arrivals`` shape/dtype contract.
+Every die of a fused :class:`~repro.engine.kernels.CycleKernel` run
+(preallocated scratch, ``out=`` ufuncs, ring-buffered history/vote
+windows) must reproduce the pure-Python
+``AdaptiveController.run_reference`` / ``run_schedule_reference`` loop
+on the same silicon **bit for bit** under the exact device model: every
+trace channel, and the loop state the scalar components hold at the
+end.  The cases cross partially filled windows, full windows,
+vote-collection resets (supply-ceiling resets and applied corrections)
+and a closed-loop run followed by a schedule run.  These tests pin
+that, plus the vectorised ``normalise_arrivals`` shape/dtype contract.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro.circuits.loads import DigitalLoad
-from repro.core.rate_controller import program_lut_for_load
+from repro.core.controller import AdaptiveController
+from repro.core.rate_controller import RateController, program_lut_for_load
 from repro.devices.variation import MonteCarloSampler, VariationModel
 from repro.engine import (
     BatchEngine,
     BatchPopulation,
     normalise_arrivals,
 )
+from repro.library import OperatingCondition
+from repro.testing import assert_bit_identical
 from repro.workloads import ConstantArrivals
 from repro.workloads.batch import constant_arrival_matrix
 
@@ -29,12 +37,13 @@ CHANNELS = (
     "desired_codes",
     "output_voltages",
     "duty_values",
-    "operations_completed",
+    "operations",
     "samples_dropped",
     "energies",
     "lut_corrections",
     "decisions",
 )
+"""Every :class:`~repro.core.controller.ControllerTrace` channel."""
 
 
 @pytest.fixture(scope="module")
@@ -45,85 +54,116 @@ def reference_lut(library):
     return program_lut_for_load(reference_load, sample_rate=1e5)
 
 
-def make_engines(library, reference_lut, n=6, seed=13, **kwargs):
+def scalar_twin(library, lut, condition, averaging_window=4):
+    """A scalar controller on one die's silicon, with its own LUT copy."""
+    lut = copy.deepcopy(lut)
+    controller = AdaptiveController(
+        load=DigitalLoad(
+            library.ring_oscillator_load, library.delay_model(condition)
+        ),
+        lut=lut,
+        reference_delay_model=library.reference_delay_model,
+    )
+    controller.rate_controller = RateController(
+        lut, averaging_window=averaging_window
+    )
+    return controller
+
+
+def make_engine(library, reference_lut, n=6, seed=13, averaging_window=4):
+    """A Monte Carlo engine plus one scalar twin per die."""
     samples = MonteCarloSampler(
         VariationModel(global_sigma_v=0.02), seed=seed
     ).draw_arrays(n)
-    population = BatchPopulation.from_samples(library, samples)
-    fused = BatchEngine(
-        population, lut=reference_lut, step_kernel="fused", **kwargs
+    engine = BatchEngine(
+        BatchPopulation.from_samples(library, samples),
+        lut=reference_lut,
+        averaging_window=averaging_window,
     )
-    legacy = BatchEngine(
-        population, lut=reference_lut, step_kernel="legacy", **kwargs
-    )
-    return fused, legacy
-
-
-def assert_bit_identical(fused_trace, legacy_trace):
-    for channel in CHANNELS:
-        np.testing.assert_array_equal(
-            getattr(fused_trace, channel),
-            getattr(legacy_trace, channel),
-            err_msg=channel,
+    twins = [
+        scalar_twin(
+            library,
+            reference_lut,
+            OperatingCondition(
+                corner="TT",
+                nmos_vth_shift=float(samples.nmos_vth_shift[die]),
+                pmos_vth_shift=float(samples.pmos_vth_shift[die]),
+            ),
+            averaging_window=averaging_window,
         )
+        for die in range(n)
+    ]
+    return engine, twins
 
 
-def assert_states_match(fused, legacy):
-    """Final engine state equality, read layout-independently."""
-    fs, ls = fused.state, legacy.state
-    for field in (
-        "queue_length",
-        "duty_value",
-        "cycles_since_duty_update",
-        "last_desired",
-        "inductor_current",
-        "output_voltage",
-        "work_accumulator",
-        "lut_correction",
-        "vote_count",
-        "energy_total",
-        "operations_total",
-        "drops_total",
-        "accepted_total",
-        "peak_queue",
-        "decision_up_total",
-        "decision_hold_total",
-        "decision_down_total",
-    ):
-        np.testing.assert_array_equal(
-            getattr(fs, field), getattr(ls, field), err_msg=field
-        )
-    np.testing.assert_array_equal(
-        fs.history_window(), ls.history_window(), err_msg="history"
-    )
-    for die in range(fs.n):
-        np.testing.assert_array_equal(
-            fs.die_vote_tail(die),
-            ls.die_vote_tail(die),
-            err_msg=f"votes die {die}",
-        )
+def assert_matches_twins(batch_trace, twin_traces):
+    for die, twin_trace in enumerate(twin_traces):
+        die_trace = batch_trace.die(die)
+        for channel in CHANNELS:
+            assert_bit_identical(
+                getattr(die_trace, channel),
+                getattr(twin_trace, channel),
+                err_msg=f"{channel} die {die}",
+            )
 
 
-class TestRingVsShiftedBitIdentity:
+def assert_states_match(engine, twins):
+    """Final engine state equals each twin's scalar component state."""
+    s = engine.state
+    history = s.history_window()
+    window = s.votes.shape[1]
+    for die, twin in enumerate(twins):
+        assert s.cycles == twin.cycles_run
+        dcdc = twin.dcdc
+        expected = {
+            "queue_length": twin.fifo.queue_length,
+            "lut_correction": twin.lut.correction,
+            "duty_value": dcdc.pwm.duty_value,
+            "cycles_since_duty_update": dcdc.cycles_since_duty_update,
+            "inductor_current": dcdc.power_stage.state.inductor_current,
+            "output_voltage": dcdc.power_stage.state.output_voltage,
+            "work_accumulator": twin._work_accumulator,
+        }
+        for field, value in expected.items():
+            array = getattr(s, field)
+            assert_bit_identical(
+                array[die],
+                np.asarray(value, dtype=array.dtype),
+                err_msg=f"{field} die {die}",
+            )
+        assert history[die].tolist() == twin.rate_controller.history, die
+        assert s.die_vote_tail(die).tolist() == (
+            twin._signature_votes[-window:]
+        ), die
+
+
+class TestFusedKernelMatchesRunReference:
     def test_partial_window_run(self, library, reference_lut):
         """Fewer cycles than the averaging window: partial history."""
-        fused, legacy = make_engines(library, reference_lut, averaging_window=8)
-        arrivals = constant_arrival_matrix(np.full(6, 1e5), 1e-6, 5)
-        assert_bit_identical(
-            fused.run(arrivals, 5), legacy.run(arrivals, 5)
+        engine, twins = make_engine(
+            library, reference_lut, averaging_window=8
         )
-        assert fused.state.history_filled == 5
-        assert_states_match(fused, legacy)
+        arrivals = constant_arrival_matrix(np.full(6, 1e5), 1e-6, 5)
+        assert_matches_twins(
+            engine.run(arrivals, 5),
+            [twin.run_reference(ConstantArrivals(1e5), 5) for twin in twins],
+        )
+        assert engine.state.history_filled == 5
+        assert_states_match(engine, twins)
 
     def test_full_window_closed_loop(self, library, reference_lut):
         """Long closed loop: wrapped history ring + vote collection."""
         cycles = 500
-        fused, legacy = make_engines(library, reference_lut)
+        engine, twins = make_engine(library, reference_lut)
         arrivals = constant_arrival_matrix(np.full(6, 1e5), 1e-6, cycles)
-        assert_bit_identical(
-            fused.run(arrivals, cycles), legacy.run(arrivals, cycles)
+        assert_matches_twins(
+            engine.run(arrivals, cycles),
+            [
+                twin.run_reference(ConstantArrivals(1e5), cycles)
+                for twin in twins
+            ],
         )
-        assert_states_match(fused, legacy)
+        assert_states_match(engine, twins)
 
     def test_vote_reset_transitions(self, library, reference_lut):
         """Corner dies converge to non-zero corrections: the run crosses
@@ -131,48 +171,58 @@ class TestRingVsShiftedBitIdentity:
         high-voltage schedule segment exercises the over-ceiling reset
         before dropping back into the sensing range."""
         corners = ("SS", "TT", "FS")
-        population = BatchPopulation.from_corners(library, corners)
+        engine = BatchEngine(
+            BatchPopulation.from_corners(library, corners),
+            lut=reference_lut,
+        )
+        twins = [
+            scalar_twin(
+                library, reference_lut, OperatingCondition(corner=corner)
+            )
+            for corner in corners
+        ]
         cycles = 900
         arrivals = constant_arrival_matrix(np.full(3, 1e5), 1e-6, cycles)
-        fused = BatchEngine(
-            population, lut=reference_lut, step_kernel="fused"
+        trace = engine.run(arrivals, cycles)
+        assert_matches_twins(
+            trace,
+            [
+                twin.run_reference(ConstantArrivals(1e5), cycles)
+                for twin in twins
+            ],
         )
-        legacy = BatchEngine(
-            population, lut=reference_lut, step_kernel="legacy"
-        )
-        trace_f = fused.run(arrivals, cycles)
-        trace_l = legacy.run(arrivals, cycles)
-        assert_bit_identical(trace_f, trace_l)
         # The scenario must actually exercise a correction (vote reset).
-        assert np.any(trace_f.final_correction() != 0)
+        assert np.any(trace.final_correction() != 0)
         schedule = [(47, 200), (11, 250)]
-        sched_f = fused.run_schedule(schedule)
-        sched_l = legacy.run_schedule(schedule)
-        assert_bit_identical(sched_f, sched_l)
+        scheduled = engine.run_schedule(schedule)
+        assert_matches_twins(
+            scheduled,
+            [twin.run_schedule_reference(schedule) for twin in twins],
+        )
         # The first segment regulates above the signature ceiling, so
         # the over-ceiling vote reset ran while settled.
-        ceiling = fused.config.signature_supply_ceiling
-        assert np.any(sched_f.output_voltages > ceiling)
-        assert_states_match(fused, legacy)
+        ceiling = engine.config.signature_supply_ceiling
+        assert np.any(scheduled.output_voltages > ceiling)
+        assert_states_match(engine, twins)
 
     def test_schedule_mode_and_sequential_runs(self, library, reference_lut):
         """Ring state carries across sequential runs exactly."""
-        fused, legacy = make_engines(library, reference_lut)
-        arrivals = ConstantArrivals(1e5)
-        arrivals_l = ConstantArrivals(1e5)
-        assert_bit_identical(
-            fused.run(arrivals, 150), legacy.run(arrivals_l, 150)
+        engine, twins = make_engine(library, reference_lut)
+        assert_matches_twins(
+            engine.run(ConstantArrivals(1e5), 150),
+            [twin.run_reference(ConstantArrivals(1e5), 150) for twin in twins],
         )
-        assert_bit_identical(
-            fused.run_schedule([(19, 80), (11, 90)]),
-            legacy.run_schedule([(19, 80), (11, 90)]),
+        schedule = [(19, 80), (11, 90)]
+        assert_matches_twins(
+            engine.run_schedule(schedule),
+            [twin.run_schedule_reference(schedule) for twin in twins],
         )
-        assert_states_match(fused, legacy)
+        assert_states_match(engine, twins)
 
     def test_row_arrays_stable_until_next_step(self, library, reference_lut):
         """A recorded row must not change before the following step."""
-        fused, _ = make_engines(library, reference_lut)
-        row = fused.step(np.full(6, 3, dtype=np.int64))
+        engine, _ = make_engine(library, reference_lut)
+        row = engine.step(np.full(6, 3, dtype=np.int64))
         snapshot = {key: np.copy(value) for key, value in row.items()}
         for key, value in snapshot.items():
             np.testing.assert_array_equal(row[key], value, err_msg=key)

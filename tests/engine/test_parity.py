@@ -1,9 +1,10 @@
-"""Scalar/batched parity: the engine must reproduce the legacy loops.
+"""Scalar/batched parity: the engine must reproduce the reference loops.
 
 The acceptance bar of the ``repro.engine`` refactor: a batch-of-one
-engine run matches the legacy scalar ``AdaptiveController`` loop
-cycle-for-cycle (voltages, queue lengths, energies, corrections), and a
-batch of N dies matches N independent scalar runs column-for-column.
+engine run matches the pure-Python ``AdaptiveController.run_reference``
+loop cycle for cycle, and a batch of N dies matches N independent
+scalar runs column for column — bit for bit on every channel (float
+channels compared through integer views).
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.core.rate_controller import program_lut_for_load
 from repro.devices.variation import MonteCarloSampler
 from repro.engine import BatchEngine, BatchPopulation
 from repro.library import OperatingCondition
+from repro.testing import assert_bit_identical
 from repro.workloads import ConstantArrivals
 from repro.workloads.traffic import trace_arrivals
 
@@ -26,6 +28,7 @@ TRACE_CHANNELS = (
     "output_voltages",
     "duty_values",
     "operations",
+    "samples_dropped",
     "energies",
     "lut_corrections",
     "decisions",
@@ -46,10 +49,10 @@ def make_controller(library, corner, **kwargs):
 def assert_traces_match(reference_trace, engine_trace):
     assert len(reference_trace) == len(engine_trace)
     for channel in TRACE_CHANNELS:
-        expected = np.asarray(getattr(reference_trace, channel), dtype=float)
-        actual = np.asarray(getattr(engine_trace, channel), dtype=float)
-        np.testing.assert_allclose(
-            actual, expected, rtol=1e-12, atol=0.0, err_msg=channel
+        assert_bit_identical(
+            getattr(engine_trace, channel),
+            getattr(reference_trace, channel),
+            err_msg=channel,
         )
 
 

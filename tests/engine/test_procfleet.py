@@ -285,26 +285,6 @@ class TestProcessFleetLifecycle:
                 log_corrections=True,
             )
 
-    def test_legacy_kernel_is_rejected(self, population, reference_lut):
-        """The legacy step rebinds its state arrays instead of writing
-        in place, so its updates would never reach the shared block —
-        the combination must fail loudly, not corrupt silently."""
-        with pytest.raises(ValueError, match="step_kernel='fused'"):
-            FleetEngine(
-                population,
-                reference_lut,
-                fleet=FleetConfig(executor="process", workers=2),
-                step_kernel="legacy",
-            )
-        # The serial executor keeps supporting the legacy baseline.
-        fleet = FleetEngine(
-            population,
-            reference_lut,
-            fleet=FleetConfig(executor="serial", workers=2),
-            step_kernel="legacy",
-        )
-        assert fleet.num_shards >= 1
-
     def test_close_with_live_resident_workers_is_idempotent(
         self, population, reference_lut, arrivals
     ):

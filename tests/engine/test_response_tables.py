@@ -402,25 +402,10 @@ class TestClosedLoopParity:
 
 
 class TestValidation:
-    def test_tabulated_requires_fused_kernel(
-        self, mc_population, reference_lut
-    ):
-        with pytest.raises(ValueError):
-            BatchEngine(
-                mc_population,
-                lut=reference_lut,
-                device_model="tabulated",
-                step_kernel="legacy",
-            )
-
     def test_unknown_modes_rejected(self, mc_population, reference_lut):
         with pytest.raises(ValueError):
             BatchEngine(
                 mc_population, lut=reference_lut, device_model="nope"
-            )
-        with pytest.raises(ValueError):
-            BatchEngine(
-                mc_population, lut=reference_lut, step_kernel="nope"
             )
 
     def test_mismatched_tables_rejected(

@@ -7,9 +7,8 @@ a digital word —
 * Python's built-in ``round()`` (used by ``core/dcdc.py`` duty preset,
   ``digital/signals.voltage_to_code`` and the scalar rate controller's
   occupancy average) rounds half to even on binary floats, and
-* ``np.rint`` (used by the engine's ``_rate_decision``, ``_sense_codes``
-  and duty preset — in both the fused ``CycleKernel`` every default
-  engine runs and the legacy step's helpers) implements the same IEEE
+* ``np.rint`` (used by the ``CycleKernel``'s ``_rate_decision``,
+  ``_sense_codes`` and duty preset) implements the same IEEE
   round-half-to-even.
 
 So a half-integer average of 2.5 maps to code 2 (not 3) on *both*
@@ -29,6 +28,7 @@ from repro.core.rate_controller import RateController, program_lut_for_load
 from repro.digital.signals import voltage_to_code
 from repro.engine import BatchEngine, BatchPopulation, CycleKernel
 from repro.library import OperatingCondition
+from repro.testing import assert_bit_identical
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +57,8 @@ class TestRateControllerAveraging:
     def test_half_integer_occupancy_averages_agree(
         self, library, reference_lut
     ):
-        """Feed the scalar controller, the legacy helper and the fused
-        kernel a queue-length sequence whose running window averages hit
+        """Feed the scalar controller and the fused kernel a
+        queue-length sequence whose running window averages hit
         exact halves (1, 1.5, 1.0, 1.5, 1.75, ..., 8.5).  The final 8.5
         sits on a LUT code boundary (8 and 9 map to different codes), so
         rounding half up instead of to even changes the code."""
@@ -80,26 +80,17 @@ class TestRateControllerAveraging:
             for a in halves
         ), "a .5 average must straddle a LUT code boundary"
 
-        def make_engine():
-            return BatchEngine(
-                BatchPopulation.from_digital_load(
-                    DigitalLoad(
-                        library.ring_oscillator_load,
-                        library.reference_delay_model,
-                    ),
+        engine = BatchEngine(
+            BatchPopulation.from_digital_load(
+                DigitalLoad(
+                    library.ring_oscillator_load,
                     library.reference_delay_model,
                 ),
-                lut=reference_lut,
-            )
-
-        engine = make_engine()
-        batch_codes = []
-        for q in queue_lengths:
-            engine.state.queue_length[:] = q
-            batch_codes.append(int(engine._rate_decision()[0]))
-        assert batch_codes == scalar_codes
-
-        kernel = CycleKernel(make_engine())
+                library.reference_delay_model,
+            ),
+            lut=reference_lut,
+        )
+        kernel = CycleKernel(engine)
         kernel_codes = []
         for q in queue_lengths:
             kernel.engine.state.queue_length[:] = q
@@ -164,11 +155,8 @@ class TestDutyPresetRounding:
         np.testing.assert_array_equal(
             engine_trace.duty_values, reference_trace.duty_values
         )
-        np.testing.assert_allclose(
-            engine_trace.output_voltages,
-            reference_trace.output_voltages,
-            rtol=1e-12,
-            atol=0.0,
+        assert_bit_identical(
+            engine_trace.output_voltages, reference_trace.output_voltages
         )
 
 
@@ -176,9 +164,9 @@ class TestSenseCodeRounding:
     def test_voltage_quantisation_agrees_across_paths(
         self, library, reference_lut
     ):
-        """voltage_to_code (scalar sense path), the legacy helper and the
-        fused kernel's _sense_codes must agree on a dense voltage sweep
-        that includes every code-boundary midpoint."""
+        """voltage_to_code (scalar sense path) and the fused kernel's
+        _sense_codes must agree on a dense voltage sweep that includes
+        every code-boundary midpoint."""
         config = ControllerConfig()
         bits = config.resolution_bits
         full_scale = config.full_scale_voltage
@@ -197,11 +185,9 @@ class TestSenseCodeRounding:
             ),
             lut=reference_lut,
         )
-        batch_codes = engine._sense_codes(voltages)
         scalar_codes = [
             voltage_to_code(float(v), bits, full_scale) for v in voltages
         ]
-        assert batch_codes.tolist() == scalar_codes
         kernel_codes = CycleKernel(engine)._sense_codes(
             voltages, out=np.empty(voltages.size, dtype=np.int64)
         )

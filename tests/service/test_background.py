@@ -31,7 +31,6 @@ CORNERS = ("SS", "TT", "FS")
 ALT_COMBOS = (
     {"device_model": "tabulated"},
     {"execution": "serial"},
-    {"step_kernel": "legacy", "execution": "serial"},
     {"device_model": "tabulated", "execution": "process"},
 )
 

@@ -118,7 +118,6 @@ class TestRequestKeys:
             SimRequest(cycles=100, averaging_window=3),
             SimRequest(cycles=100, initial_correction=1),
             SimRequest(cycles=100, device_model="tabulated"),
-            SimRequest(cycles=100, step_kernel="legacy"),
             SimRequest(cycles=100, sample_rate=2e5),
             SimRequest(
                 cycles=100, workload=WorkloadSpec(kind="none")

@@ -67,6 +67,8 @@ class TestWireModel:
     def test_unknown_fields_are_rejected(self):
         with pytest.raises(ValueError, match="unknown request fields"):
             request_from_wire({"cycles": 10, "cylces": 20})
+        with pytest.raises(ValueError, match="unknown request fields"):
+            request_from_wire({"cycles": 10, "step_kernel": "fused"})
         with pytest.raises(ValueError, match="unknown workload fields"):
             request_from_wire(
                 {"cycles": 10, "workload": {"kind": "none", "rat": 1}}

@@ -198,11 +198,6 @@ class TestAdmissionControl:
         finally:
             service.close()
 
-    def test_process_execution_rejects_legacy_kernel(self, service_library):
-        service = make_service(service_library, execution="process")
-        with pytest.raises(ValueError):
-            service.submit(request_for(0, step_kernel="legacy"))
-
 
 class TestStats:
     def test_snapshot_counters(self, service_library):
@@ -333,10 +328,6 @@ class TestWorkloads:
             SimRequest(cycles=10, schedule_codes=(1, 2))  # wrong length
         with pytest.raises(ValueError):
             SimRequest(cycles=10, feedback="psychic")
-        with pytest.raises(ValueError):
-            SimRequest(
-                cycles=10, device_model="tabulated", step_kernel="legacy"
-            )
 
     def test_schedule_requests(self, service_library):
         service = make_service(service_library)
