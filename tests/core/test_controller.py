@@ -1,5 +1,6 @@
 """Tests of the DC-DC converter loop, rate controller and adaptive controller."""
 
+import numpy as np
 import pytest
 
 from repro.circuits.loads import DigitalLoad
@@ -11,6 +12,7 @@ from repro.core.tdc import TdcCalibration, TimeToDigitalConverter
 from repro.digital.fifo import Fifo
 from repro.digital.signals import code_to_voltage, voltage_to_code
 from repro.library import OperatingCondition
+from repro.testing import assert_bit_identical
 from repro.workloads import BurstyArrivals, ConstantArrivals
 
 
@@ -202,6 +204,20 @@ class TestAdaptiveController:
         assert trace.total_operations() > 0
         # Energy per operation stays within 2x of the true MEP energy.
         assert trace.energy_per_operation() < 2.0 * 2.65e-15
+
+    def test_samples_dropped_column_counts_fifo_overflow(self, library):
+        # 3 samples per 1 us cycle outruns the load, so the FIFO overflows.
+        controller = make_controller(library, "TT")
+        trace = controller.run(ConstantArrivals(3e6), system_cycles=300)
+        drops = trace.samples_dropped
+        assert drops.dtype == np.int64
+        assert drops.shape == (300,)
+        assert int(drops.sum()) == trace.total_drops() > 0
+        assert controller.fifo.statistics.overflows == trace.total_drops()
+        reference = make_controller(library, "TT").run_reference(
+            ConstantArrivals(3e6), system_cycles=300
+        )
+        assert_bit_identical(drops, reference.samples_dropped)
 
     def test_bursty_workload_raises_voltage_during_burst(self, library):
         controller = make_controller(library, "TT")

@@ -59,6 +59,57 @@ class TestBatchState:
         )
         assert state.lut_correction.tolist() == [0, 1, -1]
 
+    def test_history_window_reads_the_ring_oldest_first(self):
+        state = BatchState.initial(2, ControllerConfig(), averaging_window=4)
+        state.seed_history([7, 8])
+        assert state.history_pos == 2
+        assert state.history_sum.tolist() == [15, 15]
+        assert state.history_window().tolist() == [[7, 8], [7, 8]]
+        # Four more writes, made the way the cycle kernel makes them,
+        # fill the window and wrap the ring past its oldest entries.
+        for value in (9, 10, 11, 12):
+            state.history[:, state.history_pos] = value
+            state.history_pos = (state.history_pos + 1) % 4
+            state.history_filled = min(state.history_filled + 1, 4)
+        assert state.history[0].tolist() == [11, 12, 9, 10]
+        assert state.history_window().tolist() == [[9, 10, 11, 12]] * 2
+
+    def test_seed_votes_round_trips_through_die_vote_tail(self):
+        state = BatchState.initial(3, ControllerConfig())
+        window = state.votes.shape[1]
+        assert window == 3
+        assert state.die_vote_tail(0).size == 0
+        state.seed_votes([4, 6], 2)
+        assert state.votes_pos.tolist() == [2, 2, 2]
+        assert all(
+            state.die_vote_tail(die).tolist() == [4, 6] for die in range(3)
+        )
+        state.seed_votes([4, 5, 6], 3)
+        assert state.votes_pos.tolist() == [0, 0, 0]
+
+        def vote(die, value):  # one kernel vote write
+            state.votes[die, state.votes_pos[die]] = value
+            state.votes_pos[die] = (state.votes_pos[die] + 1) % window
+            state.vote_count[die] = min(state.vote_count[die] + 1, window)
+
+        # A full window drops its oldest vote on the next write.
+        vote(1, 7)
+        assert state.die_vote_tail(1).tolist() == [5, 6, 7]
+        assert state.die_vote_tail(0).tolist() == [4, 5, 6]
+        # A reset window refills from wherever the ring position sits,
+        # so a partial tail can wrap past the end of the buffer.
+        vote(2, 1)
+        vote(2, 2)
+        state.vote_count[2] = 0
+        vote(2, 8)
+        vote(2, 9)
+        assert state.votes[2].tolist() == [9, 2, 8]
+        assert state.die_vote_tail(2).tolist() == [8, 9]
+        with pytest.raises(ValueError):
+            state.seed_votes([4, 6], 3)
+        with pytest.raises(ValueError):
+            state.seed_votes([1, 2, 3, 4], 4)
+
 
 class TestBatchDeviceSet:
     def test_from_delay_model_matches_scalar_delay(self, library):

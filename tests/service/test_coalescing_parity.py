@@ -197,8 +197,9 @@ def test_partitioning_is_bit_identical(seed, library):
         {"device_model": "tabulated"},
         {"execution": "serial"},
         {"execution": "process"},
+        {"device_model": "tabulated", "execution": "process"},
     ],
-    ids=("fused", "tabulated", "serial", "process"),
+    ids=("fused", "tabulated", "serial", "process", "tabulated-process"),
 )
 def test_pinned_partition_parity_every_axis(library, combo):
     """A fixed scenario through every axis on every run (the fuzz
