@@ -588,6 +588,77 @@ class BatchDeviceSet:
         return 0.5 * (nmos_off + pmos_off)
 
 
+class StackedEkv:
+    """Supply-independent EKV terms of R stacked device rows, cached.
+
+    :meth:`BatchDeviceSet._drain_current` rebuilds kT/q, n·kT/q, the
+    mobility-scaled specific current and the threshold head
+    ``vth0 + shift + ΔVth(T)`` on every call, though none of them
+    depends on the supply.  This holds them once per (population,
+    temperature) as ``(R, N)`` rows, one per ``(polarity, width)`` pair,
+    so a single in-place pass evaluates every row — and, with
+    :meth:`currents`, the on (``Vgs = Vdd``) and off (``Vgs = 0``) bias
+    points together.  At a few dies an EKV evaluation costs its ufunc
+    dispatches, not its arithmetic, so one pass over the stack is about
+    half the price of one per polarity.  Each element keeps the
+    expressions of ``_drain_current`` in their order, so every current
+    is bit-identical to it.  Queries are ``(N,)`` supply vectors; the
+    returned stack is a workspace the next call overwrites.
+    """
+
+    def __init__(self, devices: BatchDeviceSet, rows, temperature_c) -> None:
+        n = devices.n
+        temp_arr = np.asarray(temperature_c, dtype=float)
+        # kT/q with the operation order of thermal_voltage_at.
+        vt = BOLTZMANN * (temp_arr + CELSIUS_TO_KELVIN) / ELECTRON_CHARGE
+        per_die = devices.temperature.reference_temperature_c
+        vth_shift = devices.temperature.threshold_shift(temperature_c, per_die)
+        mobility = devices.temperature.mobility_scale(temperature_c, per_die)
+        self.vt = vt
+        self.vth_head = np.stack(
+            [params.vth_base + vth_shift for params, _ in rows]
+        )
+        self.dibl = np.stack([params.dibl_coefficient for params, _ in rows])
+        self.denominator = np.stack(
+            [params.slope_factor * vt for params, _ in rows]
+        )
+        self.i_spec = np.stack(
+            [
+                params.specific_current * mobility * (width / MOSFET_LENGTH_UM)
+                for params, width in rows
+            ]
+        )
+        self._vth = np.empty((len(rows), n))
+        self._saturation = np.empty(n)
+        self._stack = np.empty((2, len(rows), n))
+
+    def currents(self, supply, magnitude, on: bool = True, off: bool = True):
+        """Drain currents at ``Vds = supply`` as a ``(B, R, N)`` stack.
+
+        ``magnitude`` is ``|supply|`` (the caller may pass ``supply``
+        itself where it is known positive).  The bias axis holds the on
+        point, the off point, or both in that order.
+        """
+        vth = np.multiply(self.dibl, magnitude, out=self._vth)
+        np.subtract(self.vth_head, vth, out=vth)
+        stack = self._stack[(0 if on else 1):(2 if off else 1)]
+        if on:
+            np.subtract(supply, vth, out=stack[0])
+        if off:
+            np.subtract(0.0, vth, out=stack[-1])
+        np.divide(stack, self.denominator, out=stack)
+        np.divide(stack, 2.0, out=stack)
+        np.logaddexp(0.0, stack, out=stack)
+        np.square(stack, out=stack)
+        np.multiply(stack, self.i_spec, out=stack)
+        saturation = np.negative(magnitude, out=self._saturation)
+        np.divide(saturation, self.vt, out=saturation)
+        np.exp(saturation, out=saturation)
+        np.subtract(1.0, saturation, out=saturation)
+        np.multiply(stack, saturation, out=stack)
+        return stack
+
+
 class BatchEnergyModel:
     """Vectorised counterpart of :class:`repro.delay.energy.EnergyModel`.
 
@@ -786,8 +857,80 @@ class BatchEnergyModel:
         return leakage + dynamic_charge * rate
 
 
+class ReplicaCell:
+    """The TDC replica cell of one population at one temperature.
+
+    :meth:`BatchDeviceSet.stage_delay_inv_nor` with every
+    supply-independent term cached (:class:`StackedEkv` rows for the
+    NMOS pull-down, the INV pull-up and the NOR2 pull-up, the stack
+    depths and both stages' delay-numerator constants), evaluated in
+    place in one EKV pass.  Bit-identical to the live method; queries
+    are ``(N,)`` supply vectors at the cached temperature.
+    """
+
+    def __init__(self, sensor: BatchDeviceSet, temperature_c) -> None:
+        inv = _STAGE_SIZING[StageKind.INVERTER]
+        nor = _STAGE_SIZING[StageKind.NOR2]
+        self.temperature_c = float(temperature_c)
+        self.n = sensor.n
+        self._ekv = StackedEkv(
+            sensor,
+            [
+                (sensor.nmos, inv["wn"]),
+                (sensor.pmos, inv["wp"]),
+                (sensor.pmos, nor["wp"]),
+            ],
+            self.temperature_c,
+        )
+        self._stacks = np.array(
+            [[inv["stack_n"]], [inv["stack_p"]], [nor["stack_p"]]],
+            dtype=float,
+        )
+        self._delay_numerator = np.stack(
+            [
+                sensor.delay_constant
+                * sensor.load_capacitance(stage, 1.0, load_stage, 0.0)
+                for stage, load_stage in (
+                    (StageKind.INVERTER, StageKind.NOR2),
+                    (StageKind.NOR2, StageKind.INVERTER),
+                )
+            ]
+        )
+        self._numerator = np.empty((2, self.n))
+        self._magnitude = np.empty(self.n)
+        self._nonpositive = np.empty(self.n, dtype=bool)
+
+    def stage_delay_inv_nor(self, supply, temperature_c, out=None):
+        """INV + NOR2 replica-cell delay per die (seconds), into ``out``.
+
+        Same signature as the live method so :func:`batch_measure_tdc_counts`
+        takes either; ``temperature_c`` must be the cached one.
+        """
+        if float(temperature_c) != self.temperature_c:
+            raise ValueError(
+                f"replica cell terms are cached at {self.temperature_c} C, "
+                f"not {temperature_c} C"
+            )
+        if np.less_equal(supply, 0, out=self._nonpositive).any():
+            raise ValueError("supply must be positive")
+        if out is None:
+            out = np.empty(self.n)
+        magnitude = np.abs(supply, out=self._magnitude)
+        # Rows: [pull_down, inv_up, nor_up]; the two delays share the
+        # pull-down current, as in the live method.
+        drive = self._ekv.currents(supply, magnitude, off=False)[0]
+        np.divide(drive, self._stacks, out=drive)
+        numerator = np.multiply(
+            self._delay_numerator, supply, out=self._numerator
+        )
+        rise = np.divide(numerator, drive[1:], out=drive[1:])
+        rise += np.divide(numerator, drive[0], out=numerator)
+        rise *= 0.5
+        return np.add(rise[0], rise[1], out=out)
+
+
 def batch_measure_tdc_counts(
-    sensor: BatchDeviceSet,
+    sensor,
     supply,
     temperature_c,
     measurement_window: float,
@@ -798,7 +941,10 @@ def batch_measure_tdc_counts(
 
     Mirrors :meth:`TimeToDigitalConverter.measure`: per-die replica cell
     delay at the present supply, accumulated over the measurement window,
-    saturated at ``max_count``.  Returns ``(counts, reliable)`` arrays.
+    saturated at ``max_count``.  ``sensor`` is the population's
+    :class:`BatchDeviceSet` or its cached :class:`ReplicaCell` at
+    ``temperature_c`` (same answer).  Returns ``(counts, reliable)``
+    arrays.
     """
     supply_arr = np.asarray(supply, dtype=float)
     alive = supply_arr >= minimum_supply

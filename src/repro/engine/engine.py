@@ -472,9 +472,11 @@ class BatchEngine:
     def response(self):
         """Return the device-response model answering per-cycle queries.
 
-        Built lazily: ``"exact"`` wraps the population's
-        :class:`~repro.engine.device_math.BatchEnergyModel` directly;
-        ``"tabulated"`` builds (or adopts a pre-sharded set of)
+        Built lazily: ``"exact"`` builds an
+        :class:`~repro.engine.response_tables.ExactDeviceResponse` (the
+        population's energy model and TDC replica cell, with their
+        supply-independent terms cached); ``"tabulated"`` builds (or
+        adopts a pre-sharded set of)
         :class:`~repro.engine.response_tables.ResponseTables`.
         """
         if self._response is None:
@@ -502,14 +504,16 @@ class BatchEngine:
                     self.population.energy,
                     self.population.temperature_c,
                     nominal_throughput=self.nominal_throughput,
+                    sensor=self.population.sensor_devices,
                 )
         return self._response
 
     def _measure_tdc(self, vout: np.ndarray):
-        """Exact replica-delay TDC readout: ``(counts, reliable)`` per die."""
+        """Exact replica-delay TDC readout: ``(counts, reliable)`` per die,
+        through the exact response's cached replica cell."""
         cfg = self.config.tdc
         return batch_measure_tdc_counts(
-            self.population.sensor_devices,
+            self.response.replica,
             vout,
             self.population.temperature_c,
             cfg.measurement_window,

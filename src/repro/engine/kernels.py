@@ -211,9 +211,8 @@ class CycleKernel:
         safe = sc.f1
         safe[...] = 1.0
         np.copyto(safe, vout, where=runnable)
-        # The exact response returns its own array; the tabulated one
-        # fills f2.  Writing the follow-up ufuncs into f2 is safe either
-        # way (elementwise, no overlap hazards).
+        # Both responses answer into f2; the follow-up ufuncs then
+        # work on it in place (elementwise, no overlap hazards).
         cycle_time = self.response.cycle_time(safe, out=sc.f2)
         if self._min_cycle_time is not None:
             cycle_time = np.maximum(

@@ -27,17 +27,18 @@ and ``leakage_current`` and feeds ``current_draw``; every TDC step edge
 is bisected on the replica cell.  Both builds run over cache-sized
 blocks of dies, and every table is bit-identical to evaluating the
 exact model on the whole grid at once.  On a 2-vCPU Xeon VM a build
-costs about 130 exact cycles at 512 dies and 225 at 4096, so a
-tabulated run pays it back after horizons of about 180 and 360 cycles
+costs about 220 exact cycles at 512 dies and 300 at 4096, so a
+tabulated run pays it back after horizons of about 395 and 495 cycles
 (ARCHITECTURE.md gives the method).  The service and
 ``FleetEngine.reset(population=...)`` rebuild the tables on every
 population swap.
 
 Selection is per engine: ``BatchEngine(..., device_model="tabulated")``
 opts in; ``"exact"`` (the default) routes the same four questions
-through :class:`ExactDeviceResponse`, a thin adapter over
-:class:`~repro.engine.device_math.BatchEnergyModel` that preserves the
-scalar stack's bit-exact operation order.
+through :class:`ExactDeviceResponse`, which evaluates the
+:class:`~repro.engine.device_math.BatchEnergyModel` expressions in the
+scalar stack's bit-exact operation order, with every
+supply-independent term cached.
 """
 
 from __future__ import annotations
@@ -46,7 +47,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.engine.device_math import BatchEnergyModel
+from repro.delay.gate_delay import _STAGE_SIZING
+from repro.engine.device_math import (
+    BatchDeviceSet,
+    BatchEnergyModel,
+    ReplicaCell,
+    StackedEkv,
+)
 
 DEFAULT_TABLE_POINTS = 1024
 """Supply-grid points per die in a :class:`ResponseTables` instance."""
@@ -74,11 +81,31 @@ def _row_blocks(n: int, width: int):
 class ExactDeviceResponse:
     """The ``device_model="exact"`` response: direct EKV evaluation.
 
-    Adapter giving :class:`BatchEnergyModel` the same four-method
-    surface as :class:`ResponseTables` so the fused cycle kernel is
-    agnostic to the device model.  ``out`` arguments are accepted for
-    interface parity but ignored: the exact pipeline allocates and
-    returns its own arrays.
+    Gives the fused cycle kernel the same four-method surface as
+    :class:`ResponseTables`, answered with the expressions of
+    :class:`BatchEnergyModel` in their order, so every value is
+    bit-identical to ``BatchEnergyModel.current_draw`` /
+    ``cycle_time`` / ``leakage_current`` / ``dynamic_energy`` (the
+    oracles ``tests/engine/test_response_tables.py`` pins it to).
+
+    Every per-die term that does not depend on the supply is computed
+    once, at construction (once per population and temperature; a
+    population swap builds a new response): kT/q and n·kT/q, I_spec ·
+    mobility · W/L per polarity, the threshold head
+    ``vth0 + shift + ΔVth(T)``, DIBL, the leakage multiplier and
+    junction floor, the delay-numerator constant, α·C_switched and
+    ``1 + short-circuit fraction``.  NMOS and PMOS share one
+    :class:`~repro.engine.device_math.StackedEkv` pass, and
+    ``current_draw`` stacks its on and off bias points into it too (one
+    pass over a ``(2, 2, N)`` array): at a few dies the cost is the
+    number of ufunc dispatches, not the arithmetic.
+
+    Queries are ``(N,)`` supply vectors.  Each method evaluates in place
+    into ``out`` (a fresh array when omitted) through the response's
+    own workspaces and never writes its input, so ``out`` may alias
+    it.  ``replica`` is the population's TDC replica cell with the same
+    treatment (:class:`~repro.engine.device_math.ReplicaCell`), or
+    ``None`` without a sensor.
     """
 
     def __init__(
@@ -86,35 +113,125 @@ class ExactDeviceResponse:
         energy: BatchEnergyModel,
         temperature_c: float,
         nominal_throughput: Optional[float] = None,
+        sensor: Optional[BatchDeviceSet] = None,
     ) -> None:
         self.energy = energy
         self.temperature_c = float(temperature_c)
         self.nominal_throughput = nominal_throughput
+        devices, load = energy.devices, energy.load
+        sizing = _STAGE_SIZING[load.representative_stage]
+        self._ekv = StackedEkv(
+            devices,
+            [(devices.nmos, sizing["wn"]), (devices.pmos, sizing["wp"])],
+            self.temperature_c,
+        )
+        self._stacks = np.array(
+            [[sizing["stack_n"]], [sizing["stack_p"]]], dtype=float
+        )
+        self._delay_numerator = devices.delay_constant * energy._stage_c_load
+        self._leakage_multiplier = np.stack(
+            [devices.nmos.leakage_multiplier, devices.pmos.leakage_multiplier]
+        )
+        self._junction_floor = np.stack(
+            [
+                devices.nmos.junction_leakage_per_um * sizing["wn"],
+                devices.pmos.junction_leakage_per_um * sizing["wp"],
+            ]
+        )
+        self._logic_depth = load.logic_depth
+        self._gate_count = load.gate_count
+        self._leakage_scale = load.leakage_scale
+        self._switched_charge = (
+            load.switching_activity * energy._switched_capacitance
+        )
+        self._scf_factor = 1.0 + load.short_circuit_fraction
+        n = energy.n
+        self._safe = np.empty(n)
+        self._magnitude = np.empty(n)
+        self._numerator = np.empty(n)
+        self._rate = np.empty(n)
+        self._leak = np.empty(n)
+        self._mask = np.empty(n, dtype=bool)
+        self.replica = (
+            None if sensor is None else ReplicaCell(sensor, self.temperature_c)
+        )
 
     @property
     def n(self) -> int:
         """Return the population size."""
         return self.energy.n
 
+    def _delay_from(self, on, supply, out):
+        """Critical-path time from the stacked on currents (consumed)."""
+        np.divide(on, self._stacks, out=on)
+        numerator = np.multiply(
+            self._delay_numerator, supply, out=self._numerator
+        )
+        np.divide(numerator, on, out=on)  # [fall, rise]
+        cycle_time = np.add(on[1], on[0], out=out)
+        cycle_time *= 0.5
+        cycle_time *= self._logic_depth
+        return cycle_time
+
+    def _leakage_from(self, off, out):
+        """Load leakage from the stacked off currents (consumed)."""
+        np.multiply(off, self._leakage_multiplier, out=off)
+        np.add(off, self._junction_floor, out=off)
+        leakage = np.add(off[0], off[1], out=out)
+        leakage *= 0.5
+        leakage *= self._gate_count
+        leakage *= self._leakage_scale
+        return leakage
+
     def current_draw(self, supply, out=None) -> np.ndarray:
         """Load current drawn from the converter (amperes)."""
-        return self.energy.current_draw(
-            supply,
-            self.temperature_c,
-            operations_per_second=self.nominal_throughput,
-        )
+        if out is None:
+            out = np.empty(self.n)
+        positive = np.greater(supply, 0, out=self._mask)
+        safe = self._safe
+        safe.fill(1.0)
+        np.copyto(safe, supply, where=positive)
+        # safe > 0, so it is its own magnitude.
+        on, off = self._ekv.currents(safe, safe)
+        rate = self._delay_from(on, safe, self._rate)
+        leakage = self._leakage_from(off, self._leak)
+        np.divide(1.0, rate, out=rate)
+        if self.nominal_throughput is not None:
+            np.minimum(self.nominal_throughput, rate, out=rate)
+        charge = np.square(safe, out=out)
+        np.multiply(self._switched_charge, charge, out=charge)
+        charge *= self._scf_factor
+        charge /= safe
+        charge *= rate
+        draw = np.add(leakage, charge, out=out)
+        nonpositive = np.logical_not(positive, out=positive)
+        np.copyto(draw, 0.0, where=nonpositive)
+        return draw
 
     def cycle_time(self, supply, out=None) -> np.ndarray:
         """Critical-path (cycle) time of the load (seconds)."""
-        return self.energy.cycle_time(supply, self.temperature_c)
+        if np.less_equal(supply, 0, out=self._mask).any():
+            raise ValueError("supply must be positive")
+        if out is None:
+            out = np.empty(self.n)
+        magnitude = np.abs(supply, out=self._magnitude)
+        on = self._ekv.currents(supply, magnitude, off=False)[0]
+        return self._delay_from(on, supply, out)
 
     def leakage_current(self, supply, out=None) -> np.ndarray:
         """Total load leakage current (amperes)."""
-        return self.energy.leakage_current(supply, self.temperature_c)
+        if out is None:
+            out = np.empty(self.n)
+        magnitude = np.abs(supply, out=self._magnitude)
+        off = self._ekv.currents(supply, magnitude, on=False)[0]
+        return self._leakage_from(off, out)
 
     def dynamic_energy(self, supply, out=None) -> np.ndarray:
         """Switched-capacitance energy per operation (joules)."""
-        return self.energy.dynamic_energy(supply)
+        if out is None:
+            out = np.empty(self.n)
+        square = np.square(supply, out=out)
+        return np.multiply(self._switched_charge, square, out=square)
 
 
 class TdcCodeTables:

@@ -16,8 +16,9 @@ Three modes:
   running its background coalescer, until interrupted.
 * ``--drive URL``: open-loop HTTP load client against a listening
   gateway — N keep-alive connections each posting their share of the
-  request budget as fast as responses return; prints requests/s and
-  latency percentiles, exits non-zero if any request ultimately fails.
+  request budget as fast as responses return; prints requests/s,
+  latency percentiles overall and per outcome (cache hit or miss),
+  exits non-zero if any request ultimately fails.
 
 Examples::
 
@@ -410,6 +411,7 @@ def drive(args: argparse.Namespace) -> int:
     ]
     threads = max(1, min(args.client_threads, len(bodies)))
     latencies: List[List[float]] = [[] for _ in range(threads)]
+    cached: List[List[bool]] = [[] for _ in range(threads)]
     failures: List[Optional[str]] = [None] * threads
 
     def worker(index: int) -> None:
@@ -417,8 +419,9 @@ def drive(args: argparse.Namespace) -> int:
         try:
             for body in bodies[index::threads]:
                 t0 = time.perf_counter()
-                _post_one(connection, body, args.timeout)
+                payload = _post_one(connection, body, args.timeout)
                 latencies[index].append(time.perf_counter() - t0)
+                cached[index].append(bool(payload.get("cached")))
         except Exception as exc:
             failures[index] = f"{type(exc).__name__}: {exc}"
         finally:
@@ -451,6 +454,9 @@ def drive(args: argparse.Namespace) -> int:
         f"p50 {1e3 * float(np.percentile(flat, 50)):.1f}ms, "
         f"p99 {1e3 * float(np.percentile(flat, 99)):.1f}ms)"
     )
+    _print_outcome_latencies(
+        flat, np.array([hit for chunk in cached for hit in chunk], dtype=bool)
+    )
     stats_connection = connect()
     stats_connection.request("GET", "/stats")
     stats = json.loads(stats_connection.getresponse().read())
@@ -468,6 +474,24 @@ def drive(args: argparse.Namespace) -> int:
     if metrics_ok:
         _print_phase_breakdown(metrics_text)
     return 0
+
+
+def _print_outcome_latencies(latencies: np.ndarray, hits: np.ndarray) -> None:
+    """Print client-side latency per outcome (the response's ``cached``
+    field: hit or miss): count and p50, and p99 where at least ten
+    samples lie beyond it."""
+    print("outcome     client latency:")
+    for outcome, samples in (
+        ("hit", latencies[hits]),
+        ("miss", latencies[~hits]),
+    ):
+        line = f"  {outcome:<9} {samples.size:6d} requests"
+        if samples.size:
+            line += f"   p50 {1e3 * float(np.percentile(samples, 50)):8.2f}ms"
+            p99 = float(np.percentile(samples, 99))
+            if np.count_nonzero(samples > p99) >= 10:
+                line += f"   p99 {1e3 * p99:8.2f}ms"
+        print(line)
 
 
 def _print_phase_breakdown(metrics_text: str) -> None:

@@ -1123,8 +1123,10 @@ class SimulationService:
             self._batches += 1
             self._simulated_dies += len(unique)
             self._coalesced_requests += len(batch)
-            for request, value in zip(unique, values):
-                self._cache_store(request.cache_key(), value)
+            # order maps each unique key to its index, in unique's
+            # order: no key is hashed twice.
+            for key, index in order.items():
+                self._cache_store(key, values[index])
             for pending in batch:
                 pending.future._resolve(
                     SimResult(

@@ -33,7 +33,9 @@ the request body *before* routing, so even a 404/503 short-circuit
 leaves the connection clean for the next request (unread body bytes
 would otherwise be parsed as the next request line).  A client that
 resets or closes its connection mid-exchange is counted in
-``repro_gateway_disconnects_total``; it prints no traceback.
+``repro_gateway_disconnects_total``; it prints no traceback.  Both
+handlers set ``TCP_NODELAY`` on their accepted sockets, so a reply's
+body never waits on the client's delayed ACK of its headers.
 
 Tracing: when the underlying service has a tracer, every ``POST
 /simulate`` opens an ``http.request`` root span.  The trace id is taken
@@ -129,6 +131,11 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     """One HTTP exchange; all state lives on the server/gateway."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on the accepted socket.  A reply leaves in two
+    # send()s (headers, then body); with Nagle on, the body waits for
+    # the client's delayed ACK of the headers, about 40 ms per
+    # keep-alive exchange.
+    disable_nagle_algorithm = True
     server: "_GatewayServer"
 
     # The default handler logs every request to stderr; a load test
@@ -273,6 +280,7 @@ class _MetricsHandler(BaseHTTPRequestHandler):
     """Scrape-only sidecar handler: ``/metrics`` and ``/healthz``."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # as on _GatewayHandler
     server: "_GatewayServer"
 
     def log_message(self, format: str, *args: object) -> None:

@@ -31,10 +31,12 @@ from repro.engine import (
     ResponseTables,
 )
 from repro.engine.device_math import (
+    ReplicaCell,
     batch_measure_tdc_counts,
     codes_from_counts,
 )
-from repro.engine.response_tables import TdcCodeTables
+from repro.engine.response_tables import ExactDeviceResponse, TdcCodeTables
+from repro.testing import assert_bit_identical
 from repro.workloads.batch import constant_arrival_matrix
 
 
@@ -330,6 +332,140 @@ class TestBuildMatchesLiveOracles:
         if counter_bits is not None:
             # The saturating counter leaves codes that can never fire.
             assert np.isposinf(tdc.code_breaks).all(axis=0).any()
+
+
+# (dies, corner, temperature) of the exact-response oracle tests: a cold,
+# a typical and a hot corner, at one die, an odd size and above 1000.
+EXACT_SCENARIOS = [
+    (dies, corner, temperature_c)
+    for dies in (1, 37, 1001)
+    for corner, temperature_c in (("SS", -20.0), ("TT", 25.0), ("FF", 85.0))
+]
+
+
+def _edge_supplies(rng, dies, battery):
+    """Random loop supplies with the edges forced in: non-positive
+    values, the 0.05 V runnable floor and supplies above the battery."""
+    supply = rng.uniform(0.0, battery, size=dies)
+    edges = np.array([0.0, -0.0, -0.1, 0.05, battery, battery + 0.3])
+    picks = rng.random(dies) < 0.4
+    supply[picks] = rng.choice(edges, size=int(picks.sum()))
+    return supply
+
+
+class TestExactResponseMatchesLiveOracles:
+    """``ExactDeviceResponse`` caches its supply-independent terms and
+    stacks its EKV passes; every answer must still equal the live
+    ``BatchEnergyModel`` / ``BatchDeviceSet`` methods bit for bit."""
+
+    @pytest.mark.parametrize("throughput", [None, 1e5])
+    @pytest.mark.parametrize("dies,corner,temperature_c", EXACT_SCENARIOS)
+    def test_channels_match_energy_model(
+        self, library, dies, corner, temperature_c, throughput
+    ):
+        population = _build_population(library, dies, corner, temperature_c)
+        energy = population.energy
+        response = ExactDeviceResponse(
+            energy, temperature_c, nominal_throughput=throughput
+        )
+        battery = ControllerConfig().power_stage.battery_voltage
+        rng = np.random.default_rng(dies)
+        for _ in range(4):
+            supply = _edge_supplies(rng, dies, battery)
+            # Cycle time refuses non-positive supplies; the loop asks it
+            # at the runnable floor and above.
+            positive = np.where(supply > 0.0, supply, 0.05)
+            expected = {
+                "current_draw": (supply, energy.current_draw(
+                    supply, temperature_c, operations_per_second=throughput
+                )),
+                "cycle_time": (
+                    positive, energy.cycle_time(positive, temperature_c)
+                ),
+                "leakage_current": (
+                    supply, energy.leakage_current(supply, temperature_c)
+                ),
+                "dynamic_energy": (supply, energy.dynamic_energy(supply)),
+            }
+            for channel, (query, oracle) in expected.items():
+                before = query.copy()
+                out = np.full(dies, np.nan)
+                result = getattr(response, channel)(query, out=out)
+                assert result is out, channel
+                assert_bit_identical(result, oracle, channel)
+                assert_bit_identical(query, before, f"{channel} input")
+                assert_bit_identical(
+                    getattr(response, channel)(query), oracle, channel
+                )
+                aliased = query.copy()
+                getattr(response, channel)(aliased, out=aliased)
+                assert_bit_identical(aliased, oracle, f"{channel} in place")
+
+    @pytest.mark.parametrize("dies,corner,temperature_c", EXACT_SCENARIOS)
+    def test_replica_cell_matches_stage_delay(
+        self, library, dies, corner, temperature_c
+    ):
+        sensor = _build_population(
+            library, dies, corner, temperature_c
+        ).sensor_devices
+        cell = ReplicaCell(sensor, temperature_c)
+        battery = ControllerConfig().power_stage.battery_voltage
+        rng = np.random.default_rng(dies + 1)
+        for _ in range(4):
+            supply = _edge_supplies(rng, dies, battery)
+            supply = np.where(supply > 0.0, supply, 1e-3)
+            before = supply.copy()
+            out = np.empty(dies)
+            result = cell.stage_delay_inv_nor(supply, temperature_c, out=out)
+            assert result is out
+            assert_bit_identical(
+                result, sensor.stage_delay_inv_nor(supply, temperature_c)
+            )
+            assert_bit_identical(supply, before)
+        for bad in (0.0, -0.1):
+            supply = np.full(dies, 0.4)
+            supply[-1] = bad
+            with pytest.raises(ValueError):
+                cell.stage_delay_inv_nor(supply, temperature_c)
+        with pytest.raises(ValueError):
+            cell.stage_delay_inv_nor(np.full(dies, 0.4), temperature_c + 1.0)
+
+    def test_cycle_time_refuses_non_positive_supply(self, library):
+        population = _build_population(library, 3, "TT", 25.0)
+        response = ExactDeviceResponse(population.energy, 25.0)
+        for bad in (0.0, -0.2):
+            with pytest.raises(ValueError):
+                response.cycle_time(np.array([0.3, bad, 0.4]))
+
+    def test_reset_onto_new_silicon_matches_cold_engine(
+        self, library, reference_lut
+    ):
+        """A warm engine swapped onto another corner and temperature
+        answers from terms cached for the new population."""
+        dies, cycles = 5, 150
+        arrivals = constant_arrival_matrix(
+            np.full(dies, 1e5), 1e-6, cycles
+        )
+        first = _build_population(library, dies, "TT", 25.0)
+        second = _build_population(library, dies, "SS", 85.0)
+        warm = BatchEngine(first, lut=reference_lut, nominal_throughput=1e5)
+        warm.run(arrivals, cycles)
+        warm.reset(population=second)
+        swapped = warm.run(arrivals, cycles)
+        cold = BatchEngine(
+            second, lut=reference_lut, nominal_throughput=1e5
+        ).run(arrivals, cycles)
+        for channel in (
+            "output_voltages",
+            "desired_codes",
+            "duty_values",
+            "operations_completed",
+            "energies",
+            "lut_corrections",
+        ):
+            assert_bit_identical(
+                getattr(swapped, channel), getattr(cold, channel), channel
+            )
 
 
 class TestClosedLoopParity:

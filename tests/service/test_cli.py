@@ -1,6 +1,7 @@
 """``repro-serve`` CLI smoke: argument handling and end-to-end output."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +126,16 @@ def test_listen_serve_drive_end_to_end():
         assert "drained 24 responses" in proc.stdout
         assert "p99" in proc.stdout
         assert "http_errors=0" in proc.stdout
+        outcomes = {
+            match.group(1): int(match.group(2))
+            for match in re.finditer(
+                r"^  (hit|miss)\s+(\d+) requests", proc.stdout, re.MULTILINE
+            )
+        }
+        assert set(outcomes) == {"hit", "miss"}, proc.stdout
+        assert sum(outcomes.values()) == 24
+        # The gateway starts with an empty cache.
+        assert outcomes["miss"] >= 1
     finally:
         server.terminate()
         server.wait(timeout=30)

@@ -412,3 +412,57 @@ class TestClientDisconnects:
         err = capfd.readouterr().err
         assert "Traceback" in err and "a server fault" in err
         assert _disconnects(gateway) == before
+
+
+class TestNagleDisabled:
+    """Both handlers set TCP_NODELAY on their accepted sockets.
+
+    A reply leaves in two ``send()`` calls (headers, then body).  With
+    Nagle's algorithm on, the body waits for the client's delayed ACK of
+    the headers on every keep-alive exchange.  The option is read off
+    the accepted socket itself, so the test needs no latency bar.
+    """
+
+    @staticmethod
+    def _record_nodelay(monkeypatch, handler_class, seen):
+        original = handler_class.setup
+
+        def setup(self):
+            original(self)
+            seen.append(
+                self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(handler_class, "setup", setup)
+
+    def test_simulate_and_sidecar_metrics_sockets_set_nodelay(
+        self, library, monkeypatch
+    ):
+        from repro.service.server import _GatewayHandler, _MetricsHandler
+
+        simulate_seen, metrics_seen = [], []
+        self._record_nodelay(monkeypatch, _GatewayHandler, simulate_seen)
+        self._record_nodelay(monkeypatch, _MetricsHandler, metrics_seen)
+        service = SimulationService(
+            library=library, config=ServiceConfig(tick_interval_s=0.001)
+        )
+        with ServiceGateway(
+            service=service, port=0, metrics_port=0
+        ) as running:
+            status, payload = _exchange(
+                running, "POST", "/simulate", {"cycles": 8}
+            )
+            assert status == 200 and "values" in payload
+            host, port = running.metrics_address
+            connection = http.client.HTTPConnection(host, port, timeout=60)
+            try:
+                connection.request("GET", "/metrics")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            finally:
+                connection.close()
+        assert simulate_seen and all(simulate_seen)
+        assert metrics_seen and all(metrics_seen)

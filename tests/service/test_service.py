@@ -103,6 +103,28 @@ class TestCoalescingAndCache:
         assert second.values == first.values
         assert service.stats().cache_hits == 1
 
+    def test_each_fresh_request_hashes_its_key_once(
+        self, service_library, monkeypatch
+    ):
+        """submit() hashes the key; storing the result reuses it."""
+        calls = []
+        original = SimRequest.cache_key
+
+        def counting_cache_key(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SimRequest, "cache_key", counting_cache_key)
+        service = make_service(service_library)
+        requests = [request_for(i) for i in range(6)]
+        results = service.run(requests)
+        assert len(calls) == len(requests)
+        assert not any(result.cached for result in results)
+        # Every result was stored under its own key.
+        again = service.run(requests)
+        assert all(result.cached for result in again)
+        assert [r.values for r in again] == [r.values for r in results]
+
     def test_cache_disabled(self, service_library):
         service = make_service(service_library, cache_bytes=0)
         request = request_for(2)
