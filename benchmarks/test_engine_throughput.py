@@ -59,6 +59,7 @@ from repro.engine import (
     FleetEngine,
     NullTrace,
 )
+from repro.testing import interleaved_best, timed
 from repro.workloads import ConstantArrivals
 from repro.workloads.batch import constant_arrival_matrix
 
@@ -112,15 +113,6 @@ recorded on the single-CPU reference host — the reference the
 cycle_kernel speedup bars are quoted against."""
 
 
-def _best_of(callable_, repeats=3):
-    timings = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        timings.append(time.perf_counter() - start)
-    return min(timings)
-
-
 @pytest.fixture(scope="module")
 def reference_lut(library):
     reference_load = DigitalLoad(
@@ -149,7 +141,6 @@ def _process_fleet_bench(library, reference_lut):
             arrivals, FLEET_BENCH_CYCLES, sink=NullTrace()
         )
 
-    single_seconds = _best_of(single_shard)
     fleet = FleetEngine(
         population,
         reference_lut,
@@ -159,11 +150,18 @@ def _process_fleet_bench(library, reference_lut):
     )
     try:
         fleet.run(arrivals[:1], 1)  # fork workers + attach segments
-        process_seconds = _best_of(
-            lambda: fleet.run(arrivals, FLEET_BENCH_CYCLES)
+        best = interleaved_best(
+            {
+                "single": timed(single_shard),
+                "process": timed(
+                    lambda: fleet.run(arrivals, FLEET_BENCH_CYCLES)
+                ),
+            },
+            rounds=3,
         )
     finally:
         fleet.close()
+    single_seconds, process_seconds = best["single"], best["process"]
     die_cycles = FLEET_BENCH_DIES * FLEET_BENCH_CYCLES
     return {
         "dies": FLEET_BENCH_DIES,
@@ -254,11 +252,13 @@ def _persistent_fleet_bench(library, reference_lut):
     engine = BatchEngine(population, lut=reference_lut)
     engine.run(np.zeros((FLEET_BENCH_DIES, 1), dtype=np.int64), 1,
                sink=NullTrace())
-    single_seconds = _best_of(
+    single = timed(
         lambda: engine.run(arrivals, FLEET_BENCH_CYCLES, sink=NullTrace())
     )
 
     def persistent(workers):
+        """Best seconds of the warm single engine and the fleet's run
+        and chunked run, interleaved round by round."""
         fleet = FleetEngine(
             population,
             reference_lut,
@@ -268,21 +268,27 @@ def _persistent_fleet_bench(library, reference_lut):
         )
         try:
             fleet.run(arrivals[:1], 1)  # residents up, kernels warm
-            run_seconds = _best_of(
-                lambda: fleet.run(arrivals, FLEET_BENCH_CYCLES)
-            )
-            chunked_seconds = _best_of(
-                lambda: fleet.run_chunked(
-                    arrivals, FLEET_BENCH_CYCLES, PERSISTENT_CHUNK
-                )
+            return interleaved_best(
+                {
+                    "single": single,
+                    "run": timed(
+                        lambda: fleet.run(arrivals, FLEET_BENCH_CYCLES)
+                    ),
+                    "chunked": timed(
+                        lambda: fleet.run_chunked(
+                            arrivals, FLEET_BENCH_CYCLES, PERSISTENT_CHUNK
+                        )
+                    ),
+                },
+                rounds=3,
             )
         finally:
             fleet.close()
-        return run_seconds, chunked_seconds
 
     resolved = FleetConfig(telemetry="null").resolved_workers()
-    process_seconds, process_chunked = persistent(None)
-    forced_process, forced_process_chunked = persistent(FLEET_WORKERS)
+    own = persistent(None)
+    forced = persistent(FLEET_WORKERS)
+    single_seconds = own["single"]
     die_cycles = FLEET_BENCH_DIES * FLEET_BENCH_CYCLES
     return {
         "dies": FLEET_BENCH_DIES,
@@ -291,14 +297,14 @@ def _persistent_fleet_bench(library, reference_lut):
         "resolved_workers": resolved,
         "single_warm_seconds": single_seconds,
         "single_warm_die_cycles_per_second": die_cycles / single_seconds,
-        "process_seconds": process_seconds,
-        "process_overhead": process_seconds / single_seconds,
-        "process_chunked_seconds": process_chunked,
-        "process_chunked_overhead": process_chunked / single_seconds,
+        "process_seconds": own["run"],
+        "process_overhead": own["run"] / single_seconds,
+        "process_chunked_seconds": own["chunked"],
+        "process_chunked_overhead": own["chunked"] / single_seconds,
         "forced_workers": FLEET_WORKERS,
-        "forced_process_seconds": forced_process,
-        "forced_process_overhead": forced_process / single_seconds,
-        "forced_process_chunked_seconds": forced_process_chunked,
+        "forced_process_seconds": forced["run"],
+        "forced_process_overhead": forced["run"] / forced["single"],
+        "forced_process_chunked_seconds": forced["chunked"],
     }
 
 
@@ -351,15 +357,15 @@ def _cycle_kernel_bench(library, reference_lut):
     the one-time response tables) are built and warmed outside the
     timed region, since tables amortise over a run's lifetime.  The
     oracle variant is an exact engine whose response is swapped for
-    :class:`_OracleExactResponse` before its kernel is built.
+    :class:`_OracleExactResponse` before its kernel is built.  The three
+    variants run interleaved, one of each per round, so their ratios
+    (the barred quantities) see the same host conditions.
     """
     from repro.engine import StreamingTrace
 
-    def timed_run(population, arrivals, cycles, sink_factory, repeats,
+    def run_timer(population, arrivals, cycles, sink_factory,
                   oracle=False, **engine_kwargs):
-        dies = population.n
-        best = None
-        for _ in range(repeats):
+        def timer():
             engine = BatchEngine(
                 population, lut=reference_lut, **engine_kwargs
             )
@@ -370,13 +376,14 @@ def _cycle_kernel_bench(library, reference_lut):
             # Warm outside the timed region: builds the kernel scratch
             # and (tabulated) response tables, touches every code path.
             engine.run(
-                np.zeros((dies, 1), dtype=np.int64), 1, sink=NullTrace()
+                np.zeros((population.n, 1), dtype=np.int64), 1,
+                sink=NullTrace(),
             )
             start = time.perf_counter()
             engine.run(arrivals, cycles, sink=sink_factory())
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return dies * cycles / best
+            return time.perf_counter() - start
+
+        return timer
 
     # --- dense closed loop: 512 dies, DenseTrace ----------------------
     samples = MonteCarloSampler(seed=17).draw_arrays(FLEET_SIZE)
@@ -386,14 +393,22 @@ def _cycle_kernel_bench(library, reference_lut):
     )
 
     def dense(**kwargs):
-        return timed_run(
-            population, arrivals, CONTROLLER_CYCLES,
-            lambda: None, repeats=3, **kwargs
+        return run_timer(
+            population, arrivals, CONTROLLER_CYCLES, lambda: None, **kwargs
         )
 
-    dense_oracle = dense(oracle=True)
-    dense_fused = dense()
-    dense_tabulated = dense(device_model="tabulated")
+    best = interleaved_best(
+        {
+            "oracle": dense(oracle=True),
+            "exact": dense(),
+            "tabulated": dense(device_model="tabulated"),
+        },
+        rounds=3,
+    )
+    dense_oracle, dense_fused, dense_tabulated = (
+        FLEET_SIZE * CONTROLLER_CYCLES / best[variant]
+        for variant in ("oracle", "exact", "tabulated")
+    )
     dense_section = {
         "dies": FLEET_SIZE,
         "system_cycles": CONTROLLER_CYCLES,
@@ -419,18 +434,26 @@ def _cycle_kernel_bench(library, reference_lut):
     long_arrivals = constant_arrival_matrix(
         [ARRIVAL_RATE], SYSTEM_PERIOD, LONG_RUN_CYCLES
     )[0]
-    stream_oracle = timed_run(
-        population, baseline_arrivals, baseline_cycles,
-        StreamingTrace, repeats=1, oracle=True,
+    best = interleaved_best(
+        {
+            "oracle": run_timer(
+                population, baseline_arrivals, baseline_cycles,
+                StreamingTrace, oracle=True,
+            ),
+            "exact": run_timer(
+                population, baseline_arrivals, baseline_cycles,
+                StreamingTrace,
+            ),
+            "tabulated": run_timer(
+                population, long_arrivals, LONG_RUN_CYCLES,
+                StreamingTrace, device_model="tabulated",
+            ),
+        },
+        rounds=1,
     )
-    stream_fused = timed_run(
-        population, baseline_arrivals, baseline_cycles,
-        StreamingTrace, repeats=1,
-    )
-    stream_tabulated = timed_run(
-        population, long_arrivals, LONG_RUN_CYCLES,
-        StreamingTrace, repeats=1, device_model="tabulated",
-    )
+    stream_oracle = LONG_RUN_DIES * baseline_cycles / best["oracle"]
+    stream_fused = LONG_RUN_DIES * baseline_cycles / best["exact"]
+    stream_tabulated = LONG_RUN_DIES * LONG_RUN_CYCLES / best["tabulated"]
     stream_section = {
         "dies": LONG_RUN_DIES,
         "system_cycles": LONG_RUN_CYCLES,
@@ -458,18 +481,28 @@ def _cycle_kernel_bench(library, reference_lut):
 def bench_results(library, reference_lut):
     """Time all configurations once; persist JSON when recording."""
     # --- Monte Carlo MEP analysis: per-sample loop vs batched grid ----
+    # Interleaved rounds, and more of them than the closed loop gets:
+    # the batched call takes under 10 ms, so one host stall in it moves
+    # the barred ratio a lot.  Each batched timing follows one untimed
+    # batched call: timed straight after the scalar loop, the call would
+    # also measure the cache misses that loop leaves behind.
+    def scalar_mc_call():
+        monte_carlo_mep(samples=MC_SAMPLES, library=library, method="scalar")
+
+    def batched_mc_call():
+        monte_carlo_mep(samples=MC_SAMPLES, library=library, method="batched")
+
+    def warm_batched_mc():
+        batched_mc_call()
+        return timed(batched_mc_call)()
+
     monte_carlo_mep(samples=4, library=library, method="scalar")
     monte_carlo_mep(samples=4, library=library, method="batched")
-    scalar_mc = _best_of(
-        lambda: monte_carlo_mep(
-            samples=MC_SAMPLES, library=library, method="scalar"
-        )
+    best_mc = interleaved_best(
+        {"scalar": timed(scalar_mc_call), "batched": warm_batched_mc},
+        rounds=9,
     )
-    batched_mc = _best_of(
-        lambda: monte_carlo_mep(
-            samples=MC_SAMPLES, library=library, method="batched"
-        )
-    )
+    scalar_mc, batched_mc = best_mc["scalar"], best_mc["batched"]
 
     # --- Closed-loop controller: scalar loop vs batched fleet ---------
     def scalar_controller():
@@ -500,8 +533,11 @@ def bench_results(library, reference_lut):
         engine = BatchEngine(population, lut=reference_lut)
         engine.run(arrivals, CONTROLLER_CYCLES)
 
-    scalar_loop = _best_of(scalar_controller)
-    batched_loop = _best_of(batched_fleet)
+    best_loop = interleaved_best(
+        {"scalar": timed(scalar_controller), "batched": timed(batched_fleet)},
+        rounds=3,
+    )
+    scalar_loop, batched_loop = best_loop["scalar"], best_loop["batched"]
 
     results = {
         "environment": {

@@ -15,7 +15,6 @@ matrix job, alongside the persistent bit-identity smoke below.
 """
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from repro.engine import (
     FleetConfig,
     FleetEngine,
 )
+from repro.testing import interleaved_best, timed
 from repro.workloads.batch import constant_arrival_matrix
 
 SMOKE_DIES = 256
@@ -79,20 +79,6 @@ def _fleet_config(executor):
     )
 
 
-def _interleaved_best(series, rounds=3):
-    """Best-of-``rounds`` per named thunk, interleaved so transient host
-    slowdowns hit every series roughly equally."""
-    best = {name: None for name in series}
-    for _ in range(rounds):
-        for name, thunk in series.items():
-            start = time.perf_counter()
-            thunk()
-            elapsed = time.perf_counter() - start
-            current = best[name]
-            best[name] = elapsed if current is None else min(current, elapsed)
-    return best
-
-
 @pytest.mark.parametrize("executor", ["process"])
 def test_persistent_dispatch_not_slower_than_cold(smoke_setup, executor):
     """Relative gate: a resident fleet's ``run()`` must not cost more
@@ -111,11 +97,14 @@ def test_persistent_dispatch_not_slower_than_cold(smoke_setup, executor):
     fleet = FleetEngine(population, lut, fleet=_fleet_config(executor))
     try:
         fleet.run(arrivals[:1], 1)  # residents up, kernels warm
-        best = _interleaved_best(
+        best = interleaved_best(
             {
-                "cold": cold,
-                "persistent": lambda: fleet.run(arrivals, SMOKE_CYCLES),
-            }
+                "cold": timed(cold),
+                "persistent": timed(
+                    lambda: fleet.run(arrivals, SMOKE_CYCLES)
+                ),
+            },
+            rounds=3,
         )
     finally:
         fleet.close()

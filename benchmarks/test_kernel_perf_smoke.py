@@ -31,6 +31,7 @@ from repro.core.rate_controller import program_lut_for_load
 from repro.devices.variation import MonteCarloSampler
 from repro.engine import BatchEngine, BatchPopulation, NullTrace
 from repro.library import OperatingCondition
+from repro.testing import interleaved_best
 from repro.workloads import ConstantArrivals
 from repro.workloads.batch import constant_arrival_matrix
 
@@ -119,27 +120,16 @@ def _reference_seconds(library, lut, silicon):
     return time.perf_counter() - start
 
 
-def _interleaved_best(timers, rounds=4):
-    """Best-of-``rounds`` seconds per timer, with the timers interleaved
-    so transient host slowdowns hit every series roughly equally."""
-    best = {name: None for name in timers}
-    for _ in range(rounds):
-        for name, timer in timers.items():
-            elapsed = timer()
-            current = best[name]
-            best[name] = elapsed if current is None else min(current, elapsed)
-    return best
-
-
 def test_fused_kernel_outpaces_run_reference(library, smoke_setup):
     """Relative gate: fused exact die-cycles/s >= bar x the scalar
     oracle's on the same host."""
     population, lut, arrivals, silicon = smoke_setup
-    best = _interleaved_best(
+    best = interleaved_best(
         {
             "fused": lambda: _engine_seconds(population, lut, arrivals),
             "reference": lambda: _reference_seconds(library, lut, silicon),
-        }
+        },
+        rounds=4,
     )
     fused = SMOKE_DIES * SMOKE_CYCLES / best["fused"]
     reference = len(SCALAR_DIES) * SMOKE_CYCLES / best["reference"]
@@ -196,7 +186,7 @@ def test_single_die_exact_run_keeps_pace_with_run_reference(
         controller.run_reference(ConstantArrivals(1e5), SINGLE_DIE_CYCLES)
         return time.perf_counter() - start
 
-    best = _interleaved_best(
+    best = interleaved_best(
         {"engine": engine_seconds, "reference": reference_seconds},
         rounds=9,
     )
@@ -214,13 +204,14 @@ def test_single_die_exact_run_keeps_pace_with_run_reference(
 def test_tabulated_not_slower_than_fused_exact(smoke_setup):
     """The tabulated response must beat exact once tables are built."""
     population, lut, arrivals, _ = smoke_setup
-    best = _interleaved_best(
+    best = interleaved_best(
         {
             "exact": lambda: _engine_seconds(population, lut, arrivals),
             "tabulated": lambda: _engine_seconds(
                 population, lut, arrivals, device_model="tabulated"
             ),
-        }
+        },
+        rounds=4,
     )
     print(
         f"\nTabulated vs fused exact: "

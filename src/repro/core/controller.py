@@ -21,13 +21,15 @@ Since the :mod:`repro.engine` refactor the cycle loop itself lives in
 the vectorised :class:`~repro.engine.engine.BatchEngine`; this class is
 a batch-of-one wrapper that seeds the engine from its component state,
 runs it, and hands the resulting state back to the scalar components:
-FIFO occupancy and statistics, LUT correction history, DC-DC registers
-and filter state, and comparator decision counters all end a run
-exactly where :meth:`run_reference` would leave them.  One deliberate
-exception: engine-backed runs do not append per-cycle
-``DcDcCycleRecord`` objects to ``controller.dcdc.records`` (that
-per-object telemetry is exactly the overhead the engine removes) —
-the returned :class:`ControllerTrace` carries the per-cycle telemetry
+FIFO occupancy and statistics, LUT correction history, DC-DC registers,
+clock and filter state, and comparator decision counters all end a run
+exactly where :meth:`run_reference` would leave them.  The private
+signature-vote list comes back as its trailing run of equal votes (at
+most K), which decides every later correction exactly as the full list
+would.  One deliberate exception: engine-backed runs do not append
+per-cycle ``DcDcCycleRecord`` objects to ``controller.dcdc.records``
+(that per-object telemetry is exactly the overhead the engine removes)
+— the returned :class:`ControllerTrace` carries the per-cycle telemetry
 instead.  The original pure-Python loops survive as
 :meth:`run_reference` / :meth:`run_schedule_reference`: the engine's
 physics oracle, which every engine run matches bit for bit
@@ -472,9 +474,9 @@ class AdaptiveController:
             state.has_last_desired[:] = True
         state.work_accumulator[:] = self._work_accumulator
         state.seed_history(self.rate_controller.history)
-        window = state.votes.shape[1]
-        tail = self._signature_votes[-window:]
-        state.seed_votes(tail, min(len(self._signature_votes), window))
+        state.seed_votes(
+            self._signature_votes, self.config.compensation_interval_cycles
+        )
         return engine
 
     def _sync_from_engine(self, engine, rate_decisions: int) -> None:
@@ -520,10 +522,15 @@ class AdaptiveController:
             hold=int(state.decision_hold_total[0]),
             down=int(state.decision_down_total[0]),
         )
-        # DC-DC loop registers and filter state.
+        # DC-DC loop registers, clock and filter state.  The clock is
+        # advanced one period at a time, as DcDcConverter.step does, so
+        # it ends bit-identical to the reference loop's running sum.
         self.dcdc.power_stage.load_state(
             float(state.inductor_current[0]), float(state.output_voltage[0])
         )
+        elapsed_time = self.dcdc.elapsed_time
+        for _ in range(state.cycles - self._cycles):
+            elapsed_time += self.config.system_cycle_period
         self.dcdc.load_loop_state(
             duty_value=int(state.duty_value[0]),
             last_desired=(
@@ -532,8 +539,7 @@ class AdaptiveController:
                 else None
             ),
             cycles_since_duty_update=int(state.cycles_since_duty_update[0]),
-            elapsed_time=self.dcdc.elapsed_time
-            + (state.cycles - self._cycles) * self.config.system_cycle_period,
+            elapsed_time=elapsed_time,
         )
         # Rate controller window and decision count (layout-independent
         # chronological reads; the fused engine keeps ring buffers).
@@ -542,10 +548,8 @@ class AdaptiveController:
             decisions_issued=self.rate_controller.decisions_issued
             + rate_decisions,
         )
-        # Compensation vote window.
-        self._signature_votes = [
-            int(v) for v in state.die_vote_tail(0)
-        ]
+        # Compensation votes: the trailing run of equal votes.
+        self._signature_votes = state.die_vote_tail(0)
         self._work_accumulator = float(state.work_accumulator[0])
         self._cycles = int(state.cycles)
 

@@ -10,7 +10,7 @@ advances (or analyses) all of them simultaneously.
                      layer (dense / streaming / null)
 ``engine``           :class:`BatchEngine` — the closed-loop population simulator
 ``kernels``          :class:`CycleKernel` — the fused per-cycle hot path
-                     (preallocated scratch, ring-buffered windows)
+                     (preallocated scratch, ring-buffered history)
 ``response_tables``  :class:`ResponseTables` — tabulated per-die device
                      response (opt-in ``device_model="tabulated"``)
 ``fleet``            :class:`FleetEngine` — sharded execution on a

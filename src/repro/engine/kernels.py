@@ -9,9 +9,9 @@ for every die at once, written to
 * evaluate every elementwise expression into a preallocated
   :class:`ScratchBuffers` workspace with ``out=`` ufunc arguments —
   zero per-cycle array allocations on the common path,
-* index the occupancy history and vote windows as **ring buffers**
-  (``BatchState.history_pos`` / ``votes_pos``) instead of shifting the
-  whole ``(N, window)`` arrays one column left every cycle, and
+* index the occupancy history as a **ring buffer** (``history_pos``)
+  instead of shifting it one column left every cycle, keep the
+  compensation vote as a streak (``last_vote``, ``vote_streak``), and
 * route the four per-cycle device questions through a pluggable
   response model (:class:`~repro.engine.response_tables.ExactDeviceResponse`
   or :class:`~repro.engine.response_tables.ResponseTables`).
@@ -275,44 +275,48 @@ class CycleKernel:
     def _update_compensation(
         self, vout: np.ndarray, settled: np.ndarray
     ) -> None:
-        """Ring-buffered signature voting and LUT correction."""
+        """Streak signature voting and LUT correction.
+
+        The last K signatures agree exactly when the run of equal ones
+        ending at this one (``vote_streak``, capped at K) is K long.  A
+        streak of 0 restarts at 1 whatever stale ``last_vote`` it holds.
+        """
         engine = self.engine
         s = engine.state
         cfg = engine.config
         sc = self.scratch
+        window = cfg.compensation_interval_cycles
         over_ceiling = np.greater(
             vout, cfg.signature_supply_ceiling, out=sc.b1
         )
         np.logical_and(settled, over_ceiling, out=over_ceiling)
-        s.vote_count[over_ceiling] = 0
+        np.copyto(s.vote_streak, 0, where=over_ceiling)
         collecting = np.logical_not(over_ceiling, out=sc.b2)
         np.logical_and(settled, collecting, out=collecting)
         if not np.any(collecting):
             return
+        # From here on b0 (settled), b1 and i1 are free.
         signature = self._signatures(vout)
-        window = s.votes.shape[1]
-        rows = np.flatnonzero(collecting)
-        positions = s.votes_pos[rows]
-        s.votes[rows, positions] = signature[rows]
-        s.votes_pos[rows] = (positions + 1) % window
-        s.vote_count[rows] = np.minimum(s.vote_count[rows] + 1, window)
-        ready = collecting & (s.vote_count >= window)
+        streak = np.add(s.vote_streak, 1, out=sc.i1)
+        np.minimum(streak, window, out=streak)
+        differs = np.not_equal(signature, s.last_vote, out=sc.b0)
+        np.copyto(streak, 1, where=differs)
+        np.copyto(s.vote_streak, streak, where=collecting)
+        np.copyto(s.last_vote, signature, where=collecting)
+        ready = np.greater_equal(s.vote_streak, window, out=sc.b0)
+        np.logical_and(ready, collecting, out=ready)
         if not np.any(ready):
             return
-        # A ready die's ring holds exactly its last `window` votes (a
-        # reset demands `window` fresh writes before `ready` re-arms),
-        # so all-equal over the ring == all-equal over the chronological
-        # window, and any slot carries the agreed value.
-        unanimous = ready & (s.votes == s.votes[:, :1]).all(axis=1)
         limit = cfg.max_correction_lsb
-        agreed = np.clip(s.votes[:, 0], -limit, limit)
-        apply = unanimous & (
-            np.abs(agreed - s.lut_correction) > cfg.signature_deadband_counts
-        )
+        agreed = np.clip(s.last_vote, -limit, limit, out=sc.i1)
+        gap = np.subtract(agreed, s.lut_correction, out=sc.i0)
+        np.abs(gap, out=gap)
+        apply = np.greater(gap, cfg.signature_deadband_counts, out=sc.b1)
+        np.logical_and(apply, ready, out=apply)
         if not np.any(apply):
             return
         np.copyto(s.lut_correction, agreed, where=apply)
-        np.copyto(s.vote_count, 0, where=apply)
+        np.copyto(s.vote_streak, 0, where=apply)
         if engine._log_corrections:
             engine.correction_log.append(s.lut_correction.copy())
 
@@ -411,7 +415,7 @@ class CycleKernel:
         self._cycle_energy(vout)
         s.energy_total += sc.out_energy
 
-        # 6. Variation compensation (b0: settled, b1/b2: vote masks).
+        # 6. Variation compensation (b0/b1/b2: vote masks, i0/i1: votes).
         if engine.compensation_enabled:
             settled = np.equal(sc.out_decision, DECISION_HOLD, out=sc.b0)
             self._update_compensation(vout, settled)

@@ -1,12 +1,12 @@
 """Struct-of-arrays state of a controller population.
 
-Every field of :class:`BatchState` is an ``(N,)`` array (or a small
-``(N, K)`` ring buffer) holding one value per simulated die, so the
-engine advances the entire population with elementwise numpy ops instead
-of N Python objects.  The fields map one-to-one onto the mutable state
+Every field of :class:`BatchState` is an ``(N,)`` array (or the small
+``(N, W)`` occupancy-history ring) holding one value per simulated die,
+so the engine advances the entire population with elementwise numpy ops
+instead of N Python objects.  The fields map onto the mutable state
 scattered across the scalar stack: FIFO occupancy, rate-controller
 averaging history, PWM duty register, power-stage filter state, the
-work/energy accumulators and the variation-compensation vote window.
+work/energy accumulators and the variation-compensation vote streak.
 """
 
 from __future__ import annotations
@@ -55,11 +55,13 @@ class BatchState:
     lut_correction: np.ndarray
     """Cumulative LUT compensation per die (int LSBs, ``(N,)``)."""
 
-    votes: np.ndarray
-    """Last K variation signatures per die (int, ``(N, K)``)."""
+    last_vote: np.ndarray
+    """Latest variation signature per die (int, ``(N,)``; stale, and
+    ignored, while ``vote_streak`` is 0)."""
 
-    vote_count: np.ndarray
-    """Valid signatures in the vote window per die (int, ``(N,)``)."""
+    vote_streak: np.ndarray
+    """Consecutive equal signatures ending at ``last_vote`` per die, capped
+    at K = ``compensation_interval_cycles`` (int, ``(N,)``)."""
 
     cycles: int = 0
     """System cycles simulated so far (shared across dies)."""
@@ -73,10 +75,6 @@ class BatchState:
     Integer arithmetic, so the rolling update is exactly equal to
     re-summing the window — what keeps the ring buffer bit-identical to
     the scalar rate controller's re-summed list."""
-
-    votes_pos: np.ndarray = field(default=None)
-    """Next ring slot each die's vote window writes (int, ``(N,)``;
-    per-die because votes are only collected while a die is settled)."""
 
     energy_total: np.ndarray = field(default=None)
     """Accumulated load energy per die (float joules, ``(N,)``)."""
@@ -113,9 +111,8 @@ class BatchState:
     def history_window(self) -> np.ndarray:
         """Return the valid occupancy history, oldest first (``(N, filled)``).
 
-        ``history`` and ``votes`` are ring buffers written at
-        ``history_pos`` / ``votes_pos``.  While the history is partially
-        filled its entries sit chronologically in columns
+        ``history`` is a ring buffer written at ``history_pos``.  While it
+        is partially filled its entries sit chronologically in columns
         ``0..filled-1``; once full, the ring wraps at ``history_pos``.
         """
         window = self.history.shape[1]
@@ -125,16 +122,13 @@ class BatchState:
         index = (self.history_pos + np.arange(window)) % window
         return self.history[:, index]
 
-    def die_vote_tail(self, die: int) -> np.ndarray:
-        """Return one die's valid signature votes, oldest first."""
-        window = self.votes.shape[1]
-        count = int(self.vote_count[die])
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        index = (
-            int(self.votes_pos[die]) - count + np.arange(count)
-        ) % window
-        return self.votes[die, index]
+    def die_vote_tail(self, die: int) -> list:
+        """Return the votes that still decide one die's next correction.
+
+        That is the run of equal signatures ending at the latest one,
+        oldest first: ``[last_vote] * vote_streak`` (at most K votes).
+        """
+        return [int(self.last_vote[die])] * int(self.vote_streak[die])
 
     # ------------------------------------------------------------------
     # Chronological window seeding (the scalar wrapper's hand-off)
@@ -160,21 +154,20 @@ class BatchState:
         else:
             self.history_sum[:] = 0
 
-    def seed_votes(self, tail, count: int) -> None:
-        """Load a chronological signature tail shared by every die.
+    def seed_votes(self, votes, window: int) -> None:
+        """Load a chronological signature list into every die.
 
-        ``tail`` holds the last ``count`` votes, oldest first
-        (``count == len(tail)``, at most the window length).
+        Only the list's latest value and the run of equal values ending
+        there, capped at ``window`` (K), decide any later correction, so
+        those two are all that is kept.
         """
-        tail = np.asarray(tail, dtype=np.int64)
-        window = self.votes.shape[1]
-        k = int(tail.shape[-1]) if tail.ndim else int(tail.size)
-        if k > window or k != int(count):
-            raise ValueError("vote seed must hold exactly `count` entries")
-        if k:
-            self.votes[:, :k] = tail
-        self.votes_pos[:] = k % window
-        self.vote_count[:] = count
+        streak = 0
+        for value in reversed(votes[-window:]):
+            if value != votes[-1]:
+                break
+            streak += 1
+        self.last_vote[:] = votes[-1] if streak else 0
+        self.vote_streak[:] = streak
 
     # ------------------------------------------------------------------
     # Array/scalar field partition (the process fleet's shared-memory
@@ -309,12 +302,11 @@ class BatchState:
             ),
             work_accumulator=np.zeros(n, dtype=float),
             lut_correction=correction,
-            votes=np.zeros((n, config.compensation_interval_cycles), dtype=np.int64),
-            vote_count=np.zeros(n, dtype=np.int64),
+            last_vote=np.zeros(n, dtype=np.int64),
+            vote_streak=np.zeros(n, dtype=np.int64),
             cycles=0,
             history_pos=0,
             history_sum=np.zeros(n, dtype=np.int64),
-            votes_pos=np.zeros(n, dtype=np.int64),
             energy_total=np.zeros(n, dtype=float),
             operations_total=np.zeros(n, dtype=np.int64),
             drops_total=np.zeros(n, dtype=np.int64),

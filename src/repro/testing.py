@@ -1,4 +1,4 @@
-"""Shared test-harness utilities (fuzz seed plumbing, bit comparison).
+"""Shared test-harness utilities (fuzz seeds, oracles, bench timing).
 
 The engine's differential fuzz harness established a seed protocol the
 whole repository now reuses: a contiguous seed budget sized by
@@ -13,7 +13,8 @@ way instead of re-implementing the environment parsing.
 from __future__ import annotations
 
 import os
-from typing import List
+import time
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -76,3 +77,45 @@ def assert_bit_identical(actual, expected, err_msg: str = "") -> None:
         bits = f"i{actual.dtype.itemsize}"
         actual, expected = actual.view(bits), expected.view(bits)
     np.testing.assert_array_equal(actual, expected, err_msg=err_msg)
+
+
+def interleaved_best(
+    timers: Dict[str, Callable[[], float]], rounds: int
+) -> Dict[str, float]:
+    """Return the best of ``rounds`` seconds per named timer.
+
+    Each timer does its own set-up and returns the seconds it measured,
+    so set-up stays untimed.  Every round runs every timer once, so a
+    transient host slowdown hits all series alike instead of all of one
+    — what a ratio between the series needs.
+    """
+    best: Dict[str, float] = {}
+    for _ in range(rounds):
+        for name, timer in timers.items():
+            elapsed = timer()
+            best[name] = min(best.get(name, elapsed), elapsed)
+    return best
+
+
+def timed(thunk: Callable[[], object]) -> Callable[[], float]:
+    """Return a timer for :func:`interleaved_best` that times all of
+    ``thunk``."""
+
+    def timer() -> float:
+        start = time.perf_counter()
+        thunk()
+        return time.perf_counter() - start
+
+    return timer
+
+
+def trailing_run(votes) -> int:
+    """Return how many equal values a sequence ends with (0 if empty).
+
+    The compensation vote's oracle: a scalar signature list's trailing
+    run, capped at K, is what the engine keeps as ``vote_streak``.
+    """
+    return next(
+        (i for i, v in enumerate(reversed(votes)) if v != votes[-1]),
+        len(votes),
+    )

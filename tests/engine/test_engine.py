@@ -43,7 +43,9 @@ class TestBatchState:
         assert state.n == 7
         assert state.queue_length.shape == (7,)
         assert state.history.shape == (7, 4)
-        assert state.votes.shape == (7, config.compensation_interval_cycles)
+        assert state.last_vote.shape == (7,)
+        assert state.vote_streak.shape == (7,)
+        assert not state.vote_streak.any()
         assert np.all(state.duty_value == config.code_lower_bound)
         assert state.cycles == 0
 
@@ -75,40 +77,27 @@ class TestBatchState:
         assert state.history_window().tolist() == [[9, 10, 11, 12]] * 2
 
     def test_seed_votes_round_trips_through_die_vote_tail(self):
+        """The hand-off keeps the trailing run of equal votes, capped at
+        K = 3, as (last_vote, vote_streak) on every die."""
         state = BatchState.initial(3, ControllerConfig())
-        window = state.votes.shape[1]
-        assert window == 3
-        assert state.die_vote_tail(0).size == 0
-        state.seed_votes([4, 6], 2)
-        assert state.votes_pos.tolist() == [2, 2, 2]
-        assert all(
-            state.die_vote_tail(die).tolist() == [4, 6] for die in range(3)
+        assert state.die_vote_tail(0) == []
+        cases = (
+            ([4, 6], [6]),
+            ([5, 5], [5, 5]),
+            ([4, 5, 5, 5, 5], [5, 5, 5]),
+            ([], []),
         )
-        state.seed_votes([4, 5, 6], 3)
-        assert state.votes_pos.tolist() == [0, 0, 0]
-
-        def vote(die, value):  # one kernel vote write
-            state.votes[die, state.votes_pos[die]] = value
-            state.votes_pos[die] = (state.votes_pos[die] + 1) % window
-            state.vote_count[die] = min(state.vote_count[die] + 1, window)
-
-        # A full window drops its oldest vote on the next write.
-        vote(1, 7)
-        assert state.die_vote_tail(1).tolist() == [5, 6, 7]
-        assert state.die_vote_tail(0).tolist() == [4, 5, 6]
-        # A reset window refills from wherever the ring position sits,
-        # so a partial tail can wrap past the end of the buffer.
-        vote(2, 1)
-        vote(2, 2)
-        state.vote_count[2] = 0
-        vote(2, 8)
-        vote(2, 9)
-        assert state.votes[2].tolist() == [9, 2, 8]
-        assert state.die_vote_tail(2).tolist() == [8, 9]
-        with pytest.raises(ValueError):
-            state.seed_votes([4, 6], 3)
-        with pytest.raises(ValueError):
-            state.seed_votes([1, 2, 3, 4], 4)
+        for votes, tail in cases:
+            state.seed_votes(votes, 3)
+            assert state.vote_streak.tolist() == [len(tail)] * 3, votes
+            assert all(
+                state.die_vote_tail(die) == tail for die in range(3)
+            ), votes
+        # One die's streak is its own: a reset on die 2 leaves the rest.
+        state.seed_votes([5, 5], 3)
+        state.vote_streak[2] = 0
+        assert state.die_vote_tail(1) == [5, 5]
+        assert state.die_vote_tail(2) == []
 
 
 class TestBatchDeviceSet:

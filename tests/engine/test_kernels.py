@@ -1,15 +1,16 @@
 """Bit-identity of the fused kernel against the scalar physics oracle.
 
 Every die of a fused :class:`~repro.engine.kernels.CycleKernel` run
-(preallocated scratch, ``out=`` ufuncs, ring-buffered history/vote
-windows) must reproduce the pure-Python
+(preallocated scratch, ``out=`` ufuncs, a ring-buffered history window
+and a streak-counted compensation vote) must reproduce the pure-Python
 ``AdaptiveController.run_reference`` / ``run_schedule_reference`` loop
 on the same silicon **bit for bit** under the exact device model: every
 trace channel, and the loop state the scalar components hold at the
 end.  The cases cross partially filled windows, full windows,
 vote-collection resets (supply-ceiling resets and applied corrections)
 and a closed-loop run followed by a schedule run.  These tests pin
-that, plus the vectorised ``normalise_arrivals`` shape/dtype contract.
+that, the vote streak's update rule stage by stage, and the vectorised
+``normalise_arrivals`` shape/dtype contract.
 """
 
 import copy
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.loads import DigitalLoad
+from repro.core.config import ControllerConfig
 from repro.core.controller import AdaptiveController
 from repro.core.rate_controller import RateController, program_lut_for_load
 from repro.devices.variation import MonteCarloSampler, VariationModel
@@ -26,8 +28,9 @@ from repro.engine import (
     BatchPopulation,
     normalise_arrivals,
 )
+from repro.engine.kernels import CycleKernel
 from repro.library import OperatingCondition
-from repro.testing import assert_bit_identical
+from repro.testing import assert_bit_identical, trailing_run
 from repro.workloads import ConstantArrivals
 from repro.workloads.batch import constant_arrival_matrix
 
@@ -111,7 +114,7 @@ def assert_states_match(engine, twins):
     """Final engine state equals each twin's scalar component state."""
     s = engine.state
     history = s.history_window()
-    window = s.votes.shape[1]
+    window = engine.config.compensation_interval_cycles
     for die, twin in enumerate(twins):
         assert s.cycles == twin.cycles_run
         dcdc = twin.dcdc
@@ -132,9 +135,13 @@ def assert_states_match(engine, twins):
                 err_msg=f"{field} die {die}",
             )
         assert history[die].tolist() == twin.rate_controller.history, die
-        assert s.die_vote_tail(die).tolist() == (
-            twin._signature_votes[-window:]
-        ), die
+        # The streak is the twin's trailing run of equal votes, capped
+        # at K; last_vote only means something while the streak is on.
+        votes = twin._signature_votes
+        streak = min(trailing_run(votes), window)
+        assert int(s.vote_streak[die]) == streak, die
+        if streak:
+            assert int(s.last_vote[die]) == votes[-1], die
 
 
 class TestFusedKernelMatchesRunReference:
@@ -226,6 +233,90 @@ class TestFusedKernelMatchesRunReference:
         snapshot = {key: np.copy(value) for key, value in row.items()}
         for key, value in snapshot.items():
             np.testing.assert_array_equal(row[key], value, err_msg=key)
+
+
+class TestVoteStreak:
+    """``_update_compensation`` one call at a time, on chosen signatures.
+
+    Each call is one settled-or-not cycle of the compensation stage with
+    the TDC signature replaced by a fixed vector, so every branch of the
+    streak rule is visible in isolation.
+    """
+
+    COLLECT, OVER = 0.3, 0.7
+    """Output voltages below / above the 0.5 V signature ceiling."""
+
+    def kernel(self, library, reference_lut, n, window=3):
+        engine = BatchEngine(
+            BatchPopulation.from_corners(library, ("TT",) * n),
+            lut=reference_lut,
+            config=ControllerConfig(compensation_interval_cycles=window),
+        )
+        return engine.state, CycleKernel(engine)
+
+    @staticmethod
+    def vote(kernel, signatures, vout, settled=True):
+        """Run the stage once with the given per-die signatures."""
+        sc = kernel.scratch
+
+        def signatures_into_i0(_vout):
+            sc.i0[...] = signatures
+            return sc.i0
+
+        kernel._signatures = signatures_into_i0
+        sc.b0[...] = settled
+        kernel._update_compensation(
+            np.asarray(vout, dtype=float), sc.b0
+        )
+
+    def test_streak_rule(self, library, reference_lut):
+        state, kernel = self.kernel(library, reference_lut, n=4)
+        c, o = self.COLLECT, self.OVER
+        # Die 0 agrees five times with its own correction (0): the
+        # streak climbs and saturates at K, and nothing is applied.
+        # Die 1 disagrees on its third vote: the streak restarts at 1.
+        # Die 2 goes over the ceiling after two votes: streak 0.
+        # Die 3 sits out (unsettled) on its first two cycles.
+        settled = [True, True, True, False]
+        self.vote(kernel, [0, 2, 6, 5], [c, c, c, c], settled)
+        self.vote(kernel, [0, 2, 6, 5], [c, c, c, c], settled)
+        assert state.vote_streak.tolist() == [2, 2, 2, 0]
+        self.vote(kernel, [0, 0, 6, 0], [c, c, o, c])
+        assert state.vote_streak.tolist() == [3, 1, 0, 1]
+        assert state.last_vote.tolist() == [0, 0, 6, 0]
+        # Die 2's stale last_vote equals its next signature: the run
+        # still starts at 1, not at the count it had before the reset.
+        self.vote(kernel, [0, 0, 6, 0], [c, c, c, c])
+        assert state.vote_streak.tolist() == [3, 2, 1, 2]
+        self.vote(kernel, [0, 0, 6, 0], [c, c, c, c])
+        assert state.vote_streak.tolist() == [3, 3, 2, 3]
+        assert state.lut_correction.tolist() == [0, 0, 0, 0]
+
+    def test_ready_fires_only_at_k(self, library, reference_lut):
+        state, kernel = self.kernel(library, reference_lut, n=2)
+        c = self.COLLECT
+        # Die 0 votes 2 while its correction is 0: applied on the K-th
+        # agreeing vote, not before, and the streak resets to 0.  Die 1
+        # votes past the +4 LSB limit: the correction is clipped.
+        for streak in (1, 2):
+            self.vote(kernel, [2, 9], [c, c])
+            assert state.vote_streak.tolist() == [streak, streak]
+            assert state.lut_correction.tolist() == [0, 0]
+        self.vote(kernel, [2, 9], [c, c])
+        assert state.lut_correction.tolist() == [2, 4]
+        assert state.vote_streak.tolist() == [0, 0]
+
+    def test_single_vote_window(self, library, reference_lut):
+        state, kernel = self.kernel(library, reference_lut, n=2, window=1)
+        c = self.COLLECT
+        self.vote(kernel, [0, 3], [c, c])
+        # K = 1: every collected vote is ready; the agreeing one saturates
+        # at 1, the differing one is applied at once.
+        assert state.vote_streak.tolist() == [1, 0]
+        assert state.lut_correction.tolist() == [0, 3]
+        self.vote(kernel, [-1, 3], [c, c])
+        assert state.vote_streak.tolist() == [0, 1]
+        assert state.lut_correction.tolist() == [-1, 3]
 
 
 class TestNormaliseArrivals:

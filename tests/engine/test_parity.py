@@ -4,7 +4,8 @@ The acceptance bar of the ``repro.engine`` refactor: a batch-of-one
 engine run matches the pure-Python ``AdaptiveController.run_reference``
 loop cycle for cycle, and a batch of N dies matches N independent
 scalar runs column for column — bit for bit on every channel (float
-channels compared through integer views).
+channels compared through integer views).  A controller that switches
+between the two paths mid-run matches one pure reference run, too.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.core.rate_controller import program_lut_for_load
 from repro.devices.variation import MonteCarloSampler
 from repro.engine import BatchEngine, BatchPopulation
 from repro.library import OperatingCondition
-from repro.testing import assert_bit_identical
+from repro.testing import assert_bit_identical, trailing_run
 from repro.workloads import ConstantArrivals
 from repro.workloads.traffic import trace_arrivals
 
@@ -56,6 +57,15 @@ def assert_traces_match(reference_trace, engine_trace):
         )
 
 
+def assert_clocks_match(reference, engine_backed):
+    """The DC-DC clock is a running sum of periods on both paths."""
+    assert_bit_identical(
+        np.float64(engine_backed.dcdc.elapsed_time),
+        np.float64(reference.dcdc.elapsed_time),
+        err_msg="dcdc.elapsed_time",
+    )
+
+
 class TestBatchOfOneParity:
     def test_closed_loop_run_matches_reference(self, library):
         reference = make_controller(library, "SS")
@@ -70,6 +80,7 @@ class TestBatchOfOneParity:
         )
         assert reference.fifo.queue_length == engine_backed.fifo.queue_length
         assert reference.cycles_run == engine_backed.cycles_run
+        assert_clocks_match(reference, engine_backed)
 
     def test_schedule_run_matches_reference(self, library):
         schedule = [(19, 100), (11, 200), (47, 150)]
@@ -79,6 +90,7 @@ class TestBatchOfOneParity:
         trace_b = engine_backed.run_schedule(schedule)
         assert_traces_match(trace_a, trace_b)
         assert trace_b.final_correction() == trace_a.final_correction()
+        assert_clocks_match(reference, engine_backed)
 
     def test_delay_servo_mode_matches_reference(self, library):
         kwargs = dict(
@@ -152,6 +164,7 @@ class TestBatchOfOneParity:
         assert reference.dcdc.comparator.decision_counts == (
             engine_backed.dcdc.comparator.decision_counts
         )
+        assert_clocks_match(reference, engine_backed)
 
     def test_trace_columns_are_immutable(self, library):
         controller = make_controller(library, "TT")
@@ -160,6 +173,59 @@ class TestBatchOfOneParity:
             trace.output_voltages[0] = 99.0
         with pytest.raises(AttributeError):
             trace.records.append("nope")
+
+
+class TestMixedHandOff:
+    """Engine-backed runs hand the vote list back as its trailing run of
+    equal votes (at most K), not the whole list.  That is the same
+    decision state: a controller split mid-streak between ``run`` and
+    ``run_reference``, in either order, matches one pure reference run.
+    """
+
+    CYCLES = 900
+    SPLITS = {"SS": 34, "TT": 40, "FS": 58}
+    """Cycles after which each corner's vote list ends in a run shorter
+    than K that follows a different vote: one vote at SS and TT, two at
+    FS.  At SS the next two votes agree with it and fire the correction,
+    so a hand-off that miscounts the run fires it early or late."""
+
+    @pytest.mark.parametrize("corner", sorted(SPLITS))
+    def test_split_runs_match_one_reference_run(self, library, corner):
+        split = self.SPLITS[corner]
+        pure = make_controller(library, corner)
+        pure_trace = pure.run_reference(ConstantArrivals(1e5), self.CYCLES)
+        k = pure.config.compensation_interval_cycles
+
+        def handed_off(votes):  # what an engine-backed run leaves
+            return [votes[-1]] * min(trailing_run(votes), k)
+
+        engine_first = make_controller(library, corner)
+        reference_first = make_controller(library, corner)
+        arrivals_e, arrivals_r = ConstantArrivals(1e5), ConstantArrivals(1e5)
+        legs_e = [engine_first.run(arrivals_e, split)]
+        legs_r = [reference_first.run_reference(arrivals_r, split)]
+        votes = reference_first._signature_votes
+        assert 0 < trailing_run(votes) < min(k, len(votes)), votes
+        assert engine_first._signature_votes == handed_off(votes)
+        rest = self.CYCLES - split
+        legs_e.append(engine_first.run_reference(arrivals_e, rest))
+        legs_r.append(reference_first.run(arrivals_r, rest))
+        assert reference_first._signature_votes == handed_off(
+            pure._signature_votes
+        )
+        for controller, legs in (
+            (engine_first, legs_e), (reference_first, legs_r)
+        ):
+            for channel in TRACE_CHANNELS:
+                assert_bit_identical(
+                    np.concatenate([getattr(leg, channel) for leg in legs]),
+                    getattr(pure_trace, channel),
+                    err_msg=channel,
+                )
+            assert controller.lut.correction_history == (
+                pure.lut.correction_history
+            )
+            assert_clocks_match(pure, controller)
 
 
 class TestPopulationParity:

@@ -1,13 +1,15 @@
 """Tests of the shared test-harness helpers in :mod:`repro.testing`.
 
 ``assert_bit_identical`` backs every bit-exact parity claim in the
-suite, so a lenient comparison would let those claims pass vacuously.
+suite, so a lenient comparison would let those claims pass vacuously;
+``interleaved_best`` backs every same-host speed bar, and
+``trailing_run`` is the vote-streak oracle.
 """
 
 import numpy as np
 import pytest
 
-from repro.testing import assert_bit_identical
+from repro.testing import assert_bit_identical, interleaved_best, trailing_run
 
 
 class TestAssertBitIdentical:
@@ -40,3 +42,31 @@ class TestAssertBitIdentical:
             assert_bit_identical(
                 np.zeros(2, dtype=np.float32), np.zeros(2, dtype=np.float64)
             )
+
+
+class TestInterleavedBest:
+    def test_rounds_interleave_and_keep_each_minimum(self):
+        calls = []
+
+        def timer(name, readings):
+            readings = iter(readings)
+
+            def run():
+                calls.append(name)
+                return next(readings)
+
+            return run
+
+        best = interleaved_best(
+            {"a": timer("a", [3.0, 1.0, 2.0]), "b": timer("b", [5.0, 6.0, 4.0])},
+            rounds=3,
+        )
+        assert calls == ["a", "b"] * 3
+        assert best == {"a": 1.0, "b": 4.0}
+
+
+def test_trailing_run_counts_the_final_run_of_equal_values():
+    assert trailing_run([]) == 0
+    assert trailing_run([4, 6]) == 1
+    assert trailing_run([5, 5]) == 2
+    assert trailing_run([4, 5, 5, 5, 5]) == 4
