@@ -203,9 +203,9 @@ class FleetEngine:
         )
         initial_correction = engine_kwargs.pop("initial_correction", None)
         # Under the tabulated device model the response tables are built
-        # once for the whole population and row-sliced per shard (views
-        # share the table memory), so the one-time build cost does not
-        # multiply with the worker count.
+        # once for the whole population and sliced per shard (column
+        # views share the table memory), so the one-time build cost does
+        # not multiply with the worker count.
         shared_tables = engine_kwargs.pop("response_tables", None)
         if (
             engine_kwargs.get("device_model") == "tabulated"

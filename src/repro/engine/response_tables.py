@@ -21,14 +21,20 @@ operates (the subthreshold exponential is locally near-linear at a
 closed-loop consequences (MEP supply within one grid step, final
 voltages within rtol, identical converged LUT corrections).
 
+Every table is stored grid-major, ``(points, N)``: one row per grid
+point, dies along the unit-stride axis.  The in-loop cost is the
+gathers, and a gather costs the memory it touches: dies at nearby
+supplies read neighbouring addresses of one grid row, where a row-major
+``(N, points)`` table would touch one 8 KiB table row per die.
+
 The build is the fast tier's up-front cost.  One fused EKV pass over
 the grid (``BatchEnergyModel._fused_queries``) answers ``cycle_time``
 and ``leakage_current`` and feeds ``current_draw``; every TDC step edge
 is bisected on the replica cell.  Both builds run over cache-sized
 blocks of dies, and every table is bit-identical to evaluating the
 exact model on the whole grid at once.  On a 2-vCPU Xeon VM a build
-costs about 220 exact cycles at 512 dies and 300 at 4096, so a
-tabulated run pays it back after horizons of about 395 and 495 cycles
+costs about 240 exact cycles at 512 dies and at 4096, so a tabulated
+run pays it back after horizons of about 385 and 295 cycles
 (ARCHITECTURE.md gives the method).  The service and
 ``FleetEngine.reset(population=...)`` rebuild the tables on every
 population swap.
@@ -46,6 +52,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.delay.gate_delay import _STAGE_SIZING
 from repro.engine.device_math import (
@@ -67,8 +74,9 @@ _BLOCK_ELEMENTS = 1 << 15
 
 Both builds evaluate ``_BLOCK_ELEMENTS // width`` dies at a time (32
 rows of the default 1024-point grid, 504 rows of the default 65 TDC
-thresholds), so a block's temporaries stay cache-sized instead of
-streaming ``(N, width)`` arrays through memory."""
+thresholds), and the TDC count -> code map takes as many counts at a
+time (512 of the default 64 levels), so a block's temporaries stay
+cache-sized instead of streaming ``(N, width)`` arrays through memory."""
 
 
 def _row_blocks(n: int, width: int):
@@ -76,6 +84,27 @@ def _row_blocks(n: int, width: int):
     rows = max(1, _BLOCK_ELEMENTS // width)
     for start in range(0, n, rows):
         yield slice(start, min(start + rows, n))
+
+
+def _grid_major(array, rows: int, n: int) -> bool:
+    """Whether ``array`` is a grid-major ``(rows, n)`` float64 table.
+
+    Its dies must be unit-stride and its rows must step forward past
+    them: the in-loop gathers index one flat span that runs from the
+    table's first element to its last.
+    """
+    if (
+        not isinstance(array, np.ndarray)
+        or array.dtype != np.float64
+        or array.shape != (rows, n)
+    ):
+        return False
+    row_stride, die_stride = array.strides
+    return (
+        die_stride == array.itemsize
+        and row_stride % array.itemsize == 0
+        and row_stride >= n * array.itemsize
+    )
 
 
 class ExactDeviceResponse:
@@ -248,7 +277,10 @@ class TdcCodeTables:
     each reliability bound (``counts > 0``, ``counts < max_count``)
     fires.  A per-cycle readout is then one vectorised
     breakpoint-count — identical to the exact path everywhere except
-    within one float ULP of a step edge.
+    within one float ULP of a step edge.  The code increments are stored
+    grid-major like the response tables, ``code_breaks`` ``(L, N)`` with
+    dies along the unit-stride axis; the two reliability bounds are
+    ``(N,)``.
     """
 
     _BISECT_ITERATIONS = 60
@@ -269,12 +301,18 @@ class TdcCodeTables:
         self.minimum_supply = float(tdc_config.minimum_supply)
         n = sensor.n
         # Shared count -> code map (vectorised TdcCalibration inversion,
-        # first match on ties exactly like np.argmin in the scalar path).
+        # first match on ties exactly like np.argmin in the scalar path),
+        # over blocks of counts so the |expected - count| temporaries stay
+        # cache-sized instead of (max_count + 1, levels).
         counts_axis = np.arange(max_count + 1, dtype=float)
-        code_of_count = np.argmin(
-            np.abs(expected[np.newaxis, :] - counts_axis[:, np.newaxis]),
-            axis=1,
-        )
+        code_of_count = np.empty(max_count + 1, dtype=np.intp)
+        for counts in _row_blocks(max_count + 1, levels):
+            code_of_count[counts] = np.argmin(
+                np.abs(
+                    expected[np.newaxis, :] - counts_axis[counts, np.newaxis]
+                ),
+                axis=1,
+            )
         if np.any(np.diff(code_of_count) < 0):
             raise ValueError(
                 "expected_counts must map counts onto a nondecreasing "
@@ -332,7 +370,10 @@ class TdcCodeTables:
             breaks[rows] = hi
         breaks[:, always_on] = -np.inf
         breaks[:, never_on] = np.inf
-        self.code_breaks = np.ascontiguousarray(breaks[:, :-2])
+        # Grid-major (L, N).  A copy, because ascontiguousarray keeps a
+        # one-die transpose as is: numpy counts it contiguous, but its
+        # die axis is strided.
+        self.code_breaks = breaks[:, :-2].T.copy()
         self.positive_break = np.ascontiguousarray(breaks[:, -2])
         self.saturation_break = np.ascontiguousarray(breaks[:, -1])
         self._init_lookup(n)
@@ -340,6 +381,13 @@ class TdcCodeTables:
     def _init_lookup(self, n: int) -> None:
         self.n = int(n)
         self._cmp = np.empty(self.code_breaks.shape, dtype=bool)
+        self._cmp_bytes = self._cmp.view(np.uint8)
+        # A code counts at most L breaks: count in the narrowest unsigned
+        # dtype that holds L (uint8 up to 255 breaks, uint16 at 9-bit
+        # resolution's 511), then widen into the int64 codes.
+        self._count = np.empty(
+            self.n, dtype=np.min_scalar_type(self.code_breaks.shape[0])
+        )
         self._codes = np.empty(self.n, dtype=np.int64)
         self._reliable = np.empty(self.n, dtype=bool)
         self._flag = np.empty(self.n, dtype=bool)
@@ -347,7 +395,7 @@ class TdcCodeTables:
     def shard(self, index: slice) -> "TdcCodeTables":
         """Return a contiguous die shard of these breakpoints (views)."""
         return TdcCodeTables.adopt(
-            code_breaks=self.code_breaks[index],
+            code_breaks=self.code_breaks[:, index],
             positive_break=self.positive_break[index],
             saturation_break=self.saturation_break[index],
             minimum_supply=self.minimum_supply,
@@ -368,15 +416,27 @@ class TdcCodeTables:
 
         Used by :meth:`shard` and by process-fleet workers attaching the
         parent's breakpoints through shared memory — the arrays are
-        adopted as views, never copied.
+        adopted as views, never copied.  ``code_breaks`` is grid-major
+        ``(L, n)`` float64 with unit-stride dies; ``positive_break`` and
+        ``saturation_break`` are ``(n,)``.  Anything else raises
+        :class:`ValueError`.
         """
+        n = code_breaks.shape[-1]
+        if not _grid_major(code_breaks, code_breaks.shape[0], n) or any(
+            np.shape(edge) != (n,)
+            for edge in (positive_break, saturation_break)
+        ):
+            raise ValueError(
+                "code_breaks must be a grid-major (L, n) float64 array "
+                "with unit-stride dies, and the reliability breaks (n,)"
+            )
         tables = object.__new__(cls)
         tables.minimum_supply = float(minimum_supply)
         tables.base_code = int(base_code)
         tables.code_breaks = code_breaks
         tables.positive_break = positive_break
         tables.saturation_break = saturation_break
-        tables._init_lookup(code_breaks.shape[0])
+        tables._init_lookup(n)
         return tables
 
     def lookup(self, vout: np.ndarray):
@@ -386,9 +446,12 @@ class TdcCodeTables:
         next call.
         """
         np.greater_equal(
-            vout[:, np.newaxis], self.code_breaks, out=self._cmp
+            vout[np.newaxis, :], self.code_breaks, out=self._cmp
         )
-        np.sum(self._cmp, axis=1, dtype=np.int64, out=self._codes)
+        np.add.reduce(
+            self._cmp_bytes, axis=0, dtype=self._count.dtype, out=self._count
+        )
+        np.copyto(self._codes, self._count)
         if self.base_code:
             self._codes += self.base_code
         reliable = np.greater_equal(
@@ -409,13 +472,16 @@ class TdcCodeTables:
 class ResponseTables:
     """Per-die piecewise-linear device response over a supply grid.
 
-    Tables are ``(N, points)`` arrays over a shared uniform grid
-    ``[0, v_max]``; queries are ``(N,)`` supply vectors (one operating
+    Tables are grid-major ``(points, N)`` arrays over a shared uniform
+    grid ``[0, v_max]``: one row per grid point, dies along the
+    unit-stride axis.  Queries are ``(N,)`` supply vectors (one operating
     point per die) answered with in-place linear interpolation into a
-    caller-provided ``out`` array.  Instances are immutable after
-    construction and may be sharded into per-worker row views
-    (:meth:`shard`), so a fleet builds the tables **once** for the full
-    population.
+    caller-provided ``out`` array.  Dies at nearby supplies sit at nearby
+    grid rows, so a cycle's gather reads neighbouring dies from
+    neighbouring memory instead of one table row per die.  Instances
+    are immutable after construction and may be sharded into per-worker
+    column views (:meth:`shard`), so a fleet builds the tables **once**
+    for the full population.
     """
 
     def __init__(
@@ -444,11 +510,13 @@ class ResponseTables:
         # first cell's flat extrapolation is never observed).
         positive = np.where(grid > 0.0, grid, grid[1])
         self._tables = {
-            name: np.empty((n, self.points)) for name in _RESPONSE_CHANNELS
+            name: np.empty((self.points, n)) for name in _RESPONSE_CHANNELS
         }
-        for rows in _row_blocks(n, self.points):
-            block = BatchEnergyModel(energy.devices.shard(rows), energy.load)
-            count = rows.stop - rows.start
+        # Each die block is evaluated row-major, (dies, points), and
+        # stored transposed into its grid-major columns.
+        for dies in _row_blocks(n, self.points):
+            block = BatchEnergyModel(energy.devices.shard(dies), energy.load)
+            count = dies.stop - dies.start
             positive_supply = np.broadcast_to(positive, (count, self.points))
             # One fused EKV pass answers cycle_time and leakage_current
             # (bit-identical to the standalone methods) and feeds
@@ -469,10 +537,10 @@ class ResponseTables:
             # The grid starts at v = 0, where current_draw's
             # non-positive-supply guard answers 0.0.
             draw[:, 0] = 0.0
-            self._tables["current_draw"][rows] = draw
-            self._tables["cycle_time"][rows] = cycle_time
-            self._tables["leakage_current"][rows] = leakage
-            self._tables["dynamic_energy"][rows] = dynamic
+            self._tables["current_draw"][:, dies] = draw.T
+            self._tables["cycle_time"][:, dies] = cycle_time.T
+            self._tables["leakage_current"][:, dies] = leakage.T
+            self._tables["dynamic_energy"][:, dies] = dynamic.T
         self.short_circuit_fraction = float(
             energy.load.short_circuit_fraction
         )
@@ -482,10 +550,19 @@ class ResponseTables:
     def _init_lookup(self, n: int) -> None:
         self.n = int(n)
         self._inv_dv = (self.points - 1) / self.v_max
-        self._flat = {
-            name: table.reshape(-1) for name, table in self._tables.items()
+        # Rows of a shard's column views stay the parent's row apart, so
+        # table[row, die] is element row * _row_stride + die of a
+        # read-only span from the view's first element to its last.
+        itemsize = self._tables["current_draw"].itemsize
+        self._row_stride = self._tables["current_draw"].strides[0] // itemsize
+        span = (self.points - 1) * self._row_stride + self.n
+        self._spans = {
+            name: as_strided(
+                table, shape=(span,), strides=(itemsize,), writeable=False
+            )
+            for name, table in self._tables.items()
         }
-        self._offsets = np.arange(self.n, dtype=np.int64) * self.points
+        self._dies = np.arange(self.n, dtype=np.int64)
         # Lookup scratch (reused every query; queries are always (N,)).
         self._pos = np.empty(self.n, dtype=float)
         self._idx = np.empty(self.n, dtype=np.int64)
@@ -526,14 +603,14 @@ class ResponseTables:
         return tables
 
     def shard(self, index: slice) -> "ResponseTables":
-        """Return a contiguous die shard of these tables (row views).
+        """Return a contiguous die shard of these tables (column views).
 
-        Row slices of C-contiguous tables stay contiguous, so the shard
-        shares table memory with the parent — a fleet pays the build
-        cost once regardless of worker count.
+        The shard's ``(points, n)`` views share table memory with the
+        parent — a fleet pays the build cost once regardless of worker
+        count.
         """
         return ResponseTables.adopt(
-            {name: table[index] for name, table in self._tables.items()},
+            {name: table[:, index] for name, table in self._tables.items()},
             temperature_c=self.temperature_c,
             nominal_throughput=self.nominal_throughput,
             points=self.points,
@@ -557,14 +634,27 @@ class ResponseTables:
         """Wrap already-evaluated channel tables (no device evaluation).
 
         ``tables`` maps every channel in ``_RESPONSE_CHANNELS`` to its
-        ``(N, points)`` array; the arrays are adopted as-is (views into
-        the parent's tables, or into a shared-memory block for process
-        workers) and must be C-contiguous rows so the flat-index lookup
-        can reshape them without copying.
+        grid-major ``(points, n)`` float64 array; the arrays are adopted
+        as-is (column views into the parent's tables, or views into a
+        shared-memory block for process workers).  The lookup reads raw
+        memory between a table's first and last element, so every
+        channel must have unit-stride dies and all must share one row
+        stride; anything else raises :class:`ValueError`.
         """
         missing = [c for c in _RESPONSE_CHANNELS if c not in tables]
         if missing:
             raise ValueError(f"missing response channels: {missing}")
+        first = tables["current_draw"]
+        n = first.shape[-1]
+        if any(
+            not _grid_major(tables[c], points, n)
+            or tables[c].strides != first.strides
+            for c in _RESPONSE_CHANNELS
+        ):
+            raise ValueError(
+                "response tables must be grid-major (points, n) float64 "
+                "arrays with unit-stride dies and one shared row stride"
+            )
         adopted = object.__new__(cls)
         adopted.temperature_c = float(temperature_c)
         adopted.nominal_throughput = nominal_throughput
@@ -574,13 +664,13 @@ class ResponseTables:
         adopted._tables = {c: tables[c] for c in _RESPONSE_CHANNELS}
         adopted.short_circuit_fraction = float(short_circuit_fraction)
         adopted.tdc = tdc
-        adopted._init_lookup(adopted._tables["current_draw"].shape[0])
+        adopted._init_lookup(n)
         return adopted
 
     # ------------------------------------------------------------------
     # In-loop lookups (one (N,) query per call, answered into `out`)
     # ------------------------------------------------------------------
-    def _lookup(self, flat_table: np.ndarray, supply, out: np.ndarray):
+    def _lookup(self, span: np.ndarray, supply, out: np.ndarray):
         # Raw ufuncs and the ndarray.take method throughout: the
         # np.clip/np.take convenience wrappers cost more dispatch time
         # than the 512-element kernels they launch.
@@ -591,10 +681,11 @@ class ResponseTables:
         np.copyto(idx, pos, casting="unsafe")  # trunc == floor (pos >= 0)
         np.minimum(idx, self.points - 2, out=idx)
         frac = np.subtract(pos, idx, out=pos)
-        np.add(idx, self._offsets, out=idx)
-        flat_table.take(idx, out=out)
-        idx += 1
-        flat_table.take(idx, out=right)
+        np.multiply(idx, self._row_stride, out=idx)
+        np.add(idx, self._dies, out=idx)
+        span.take(idx, out=out)
+        idx += self._row_stride  # the right neighbour is the next row
+        span.take(idx, out=right)
         np.subtract(right, out, out=right)
         right *= frac
         out += right
@@ -604,25 +695,25 @@ class ResponseTables:
         """Interpolated load current (amperes)."""
         if out is None:
             out = np.empty(self.n, dtype=float)
-        return self._lookup(self._flat["current_draw"], supply, out)
+        return self._lookup(self._spans["current_draw"], supply, out)
 
     def cycle_time(self, supply, out=None) -> np.ndarray:
         """Interpolated critical-path time (seconds)."""
         if out is None:
             out = np.empty(self.n, dtype=float)
-        return self._lookup(self._flat["cycle_time"], supply, out)
+        return self._lookup(self._spans["cycle_time"], supply, out)
 
     def leakage_current(self, supply, out=None) -> np.ndarray:
         """Interpolated load leakage current (amperes)."""
         if out is None:
             out = np.empty(self.n, dtype=float)
-        return self._lookup(self._flat["leakage_current"], supply, out)
+        return self._lookup(self._spans["leakage_current"], supply, out)
 
     def dynamic_energy(self, supply, out=None) -> np.ndarray:
         """Interpolated per-operation switching energy (joules)."""
         if out is None:
             out = np.empty(self.n, dtype=float)
-        return self._lookup(self._flat["dynamic_energy"], supply, out)
+        return self._lookup(self._spans["dynamic_energy"], supply, out)
 
     # ------------------------------------------------------------------
     # Diagnostics (allocating, grid-shaped — parity tests and MEP checks)
@@ -636,12 +727,9 @@ class ResponseTables:
         pos = np.clip(supply_arr * self._inv_dv, 0.0, self.points - 1)
         idx = np.minimum(pos.astype(np.int64), self.points - 2)
         frac = pos - idx
-        left = np.take_along_axis(
-            table, idx.reshape(self.n, -1), axis=1
-        ).reshape(idx.shape)
-        right = np.take_along_axis(
-            table, (idx + 1).reshape(self.n, -1), axis=1
-        ).reshape(idx.shape)
+        dies = np.arange(self.n).reshape((self.n,) + (1,) * (idx.ndim - 1))
+        left = table[idx, dies]
+        right = table[idx + 1, dies]
         return left + frac * (right - left)
 
     def total_energy(self, supply) -> np.ndarray:

@@ -161,6 +161,254 @@ class TestResponseTableAccuracy:
             )
 
 
+CHANNELS = ("current_draw", "cycle_time", "leakage_current", "dynamic_energy")
+
+
+def _row_major_lookup(rows, points, v_max, supply):
+    """Interpolate ``(n, points)`` row-major tables at one supply per
+    die, in the lookup's operation order (the independent reference for
+    the grid-major gathers)."""
+    pos = supply * ((points - 1) / v_max)
+    pos = np.minimum(np.maximum(pos, 0.0), points - 1)
+    idx = np.minimum(pos.astype(np.int64), points - 2)
+    frac = pos - idx
+    flat = np.ascontiguousarray(rows).reshape(-1)
+    offsets = np.arange(rows.shape[0], dtype=np.int64) * points
+    left = flat[idx + offsets]
+    right = flat[idx + offsets + 1]
+    return left + (right - left) * frac
+
+
+def _edge_queries(tables):
+    """Supply vectors that put every edge value on every die: negative,
+    zero, exact grid points, midpoints, v_max, above it and the 1.0
+    sentinel of unpowered dies."""
+    grid = tables.grid
+    values = np.array(
+        [
+            -0.2, -0.0, 0.0, grid[1], grid[517], grid[-2],
+            0.5 * (grid[0] + grid[1]), 0.5 * (grid[300] + grid[301]),
+            0.5 * (grid[-2] + grid[-1]), 0.2371, tables.v_max,
+            tables.v_max + 0.3, 1.0,
+        ]
+    )
+    return [
+        np.resize(np.roll(values, shift), tables.n)
+        for shift in range(values.size)
+    ]
+
+
+@pytest.fixture(scope="module")
+def odd_tables(library):
+    """Grid-major tables (with TDC breaks) over an odd population."""
+    samples = MonteCarloSampler(
+        VariationModel(global_sigma_v=0.02), seed=41
+    ).draw_arrays(13)
+    population = BatchPopulation.from_samples(library, samples)
+    return ResponseTables.from_population(
+        population, ControllerConfig(), nominal_throughput=1e5
+    )
+
+
+# First, interior and last shards, and a one-die shard, of 13 dies.
+ODD_SHARDS = (slice(0, 5), slice(5, 9), slice(9, 13), slice(6, 7))
+
+
+def _fresh_adopt(tables):
+    """Re-adopt fresh copies of the full arrays: the process-worker path
+    (a worker adopts the shared-memory block, then shards it)."""
+    tdc = tables.tdc
+    return ResponseTables.adopt(
+        {channel: table.copy() for channel, table in tables._tables.items()},
+        temperature_c=tables.temperature_c,
+        nominal_throughput=tables.nominal_throughput,
+        points=tables.points,
+        v_max=tables.v_max,
+        short_circuit_fraction=tables.short_circuit_fraction,
+        tdc=TdcCodeTables.adopt(
+            code_breaks=tdc.code_breaks.copy(),
+            positive_break=tdc.positive_break.copy(),
+            saturation_break=tdc.saturation_break.copy(),
+            minimum_supply=tdc.minimum_supply,
+            base_code=tdc.base_code,
+        ),
+    )
+
+
+class TestGridMajorLayout:
+    """Tables are stored ``(points, N)``; every lookup, on full tables,
+    shards and re-adopted arrays, must equal a row-major reference
+    interpolation over the transposed tables bit for bit."""
+
+    def _assert_lookups_match(self, tables, rows, label):
+        for query in _edge_queries(tables):
+            for channel in CHANNELS:
+                expected = _row_major_lookup(
+                    rows[channel], tables.points, tables.v_max, query
+                )
+                before = query.copy()
+                out = np.full(tables.n, np.nan)
+                result = getattr(tables, channel)(query, out=out)
+                assert result is out
+                assert_bit_identical(result, expected, f"{label} {channel}")
+                assert_bit_identical(query, before, f"{label} input")
+
+    def test_full_tables_match_row_major_reference(self, odd_tables):
+        rows = {c: odd_tables._tables[c].T for c in CHANNELS}
+        self._assert_lookups_match(odd_tables, rows, "full")
+
+    @pytest.mark.parametrize("index", ODD_SHARDS, ids=str)
+    def test_shards_match_row_major_reference(self, odd_tables, index):
+        rows = {c: odd_tables._tables[c].T[index] for c in CHANNELS}
+        self._assert_lookups_match(
+            odd_tables.shard(index), rows, f"shard {index}"
+        )
+
+    @pytest.mark.parametrize("index", (None,) + ODD_SHARDS, ids=str)
+    def test_adopted_copies_match_row_major_reference(
+        self, odd_tables, index
+    ):
+        adopted = _fresh_adopt(odd_tables)
+        rows = {c: odd_tables._tables[c].T for c in CHANNELS}
+        if index is not None:
+            adopted = adopted.shard(index)
+            rows = {c: table[index] for c, table in rows.items()}
+        self._assert_lookups_match(adopted, rows, f"adopted {index}")
+
+    def test_one_die_population_shards_and_adopts(self, library):
+        """A one-die build is grid-major with unit-stride dies too (a
+        one-column transpose is C-contiguous in numpy's eyes whatever
+        its die stride), so the fleet can shard and re-adopt it."""
+        population = _build_population(library, 1, "SS", -20.0)
+        tables = ResponseTables.from_population(population, ControllerConfig())
+        rows = {c: tables._tables[c].T for c in CHANNELS}
+        for adopted in (
+            tables.shard(slice(0, 1)),
+            _fresh_adopt(tables),
+            _fresh_adopt(tables).shard(slice(0, 1)),
+        ):
+            assert adopted.tdc.code_breaks.strides[1] == 8
+            self._assert_lookups_match(adopted, rows, "one die")
+
+    def test_shards_are_column_views(self, odd_tables):
+        for index in ODD_SHARDS:
+            shard = odd_tables.shard(index)
+            count = index.stop - index.start
+            for channel in CHANNELS:
+                view = shard._tables[channel]
+                assert view.shape == (odd_tables.points, count)
+                assert np.shares_memory(view, odd_tables._tables[channel])
+            assert np.shares_memory(
+                shard.tdc.code_breaks, odd_tables.tdc.code_breaks
+            )
+            assert shard.table_bytes() == (
+                len(CHANNELS) * odd_tables.points * count * 8
+            )
+        assert odd_tables.table_bytes() == (
+            len(CHANNELS) * odd_tables.points * odd_tables.n * 8
+        )
+
+    def test_adopt_rejects_other_layouts(self, odd_tables):
+        meta = dict(
+            temperature_c=odd_tables.temperature_c,
+            nominal_throughput=odd_tables.nominal_throughput,
+            points=odd_tables.points,
+            v_max=odd_tables.v_max,
+            short_circuit_fraction=odd_tables.short_circuit_fraction,
+        )
+        grid_major = {c: odd_tables._tables[c].copy() for c in CHANNELS}
+        ResponseTables.adopt(grid_major, **meta)
+        # Row-major (n, points) tables passed in as their transposes have
+        # the right shape and one shared row stride, but strided dies.
+        transposed = {
+            c: np.ascontiguousarray(table.T).T
+            for c, table in grid_major.items()
+        }
+        with pytest.raises(ValueError):
+            ResponseTables.adopt(transposed, **meta)
+        # Channels whose shapes do not match.
+        narrow = dict(grid_major)
+        narrow["leakage_current"] = grid_major["leakage_current"][:, :-1]
+        with pytest.raises(ValueError):
+            ResponseTables.adopt(narrow, **meta)
+        short = dict(grid_major)
+        short["dynamic_energy"] = grid_major["dynamic_energy"][:-1]
+        with pytest.raises(ValueError):
+            ResponseTables.adopt(short, **meta)
+        # Row strides that differ between channels.
+        wide = np.empty((odd_tables.points, odd_tables.n + 3))
+        wide[:, : odd_tables.n] = grid_major["current_draw"]
+        strided = dict(grid_major)
+        strided["current_draw"] = wide[:, : odd_tables.n]
+        with pytest.raises(ValueError):
+            ResponseTables.adopt(strided, **meta)
+        # Rows that run backwards.
+        reversed_rows = dict(grid_major)
+        for channel in CHANNELS:
+            reversed_rows[channel] = grid_major[channel][::-1]
+        with pytest.raises(ValueError):
+            ResponseTables.adopt(reversed_rows, **meta)
+
+    def test_tdc_adopt_rejects_other_layouts(self, odd_tables):
+        tdc = odd_tables.tdc
+        edges = dict(
+            positive_break=tdc.positive_break,
+            saturation_break=tdc.saturation_break,
+            minimum_supply=tdc.minimum_supply,
+            base_code=tdc.base_code,
+        )
+        TdcCodeTables.adopt(code_breaks=tdc.code_breaks.copy(), **edges)
+        row_major = np.ascontiguousarray(tdc.code_breaks.T)
+        with pytest.raises(ValueError):
+            TdcCodeTables.adopt(code_breaks=row_major.T, **edges)
+        with pytest.raises(ValueError):
+            TdcCodeTables.adopt(code_breaks=row_major, **edges)
+        with pytest.raises(ValueError):
+            TdcCodeTables.adopt(
+                code_breaks=tdc.code_breaks[:, :-1].copy(), **edges
+            )
+
+
+class TestTdcCounterWidth:
+    """The staircase count runs in the narrowest unsigned dtype that
+    holds every break; codes must stay exact up to 511 breaks (9-bit
+    resolution), where a uint8 counter would wrap."""
+
+    @pytest.mark.parametrize("resolution_bits", [6, 8, 9])
+    def test_codes_equal_break_count(self, library, resolution_bits):
+        config = ControllerConfig(resolution_bits=resolution_bits)
+        population = _build_population(library, 9, "TT", 25.0, config)
+        tables = ResponseTables.from_population(population, config)
+        assert tables.tdc.code_breaks.shape == (
+            (1 << resolution_bits) - 1, population.n
+        )
+        rng = np.random.default_rng(resolution_bits)
+        queries = [rng.uniform(-0.1, 1.3, size=population.n) for _ in range(6)]
+        queries.append(np.linspace(0.0, 1.2, population.n))
+        queries.append(np.full(population.n, 1.15))
+        top = 0
+        for tdc, dies in [(tables.tdc, slice(None))] + [
+            (tables.tdc.shard(index), index)
+            for index in (slice(0, 4), slice(4, 9), slice(8, 9))
+        ]:
+            for vout in queries:
+                vout = vout[dies].copy()
+                expected = (vout[:, None] >= tdc.code_breaks.T).sum(1)
+                expected += tdc.base_code
+                expected[vout < tdc.minimum_supply] = tdc.base_code
+                reliable = (
+                    (vout >= tdc.minimum_supply)
+                    & (vout >= tdc.positive_break)
+                    & (vout < tdc.saturation_break)
+                )
+                codes, table_reliable = tdc.lookup(vout)
+                assert_bit_identical(codes, expected.astype(np.int64))
+                assert_bit_identical(table_reliable, reliable)
+                top = max(top, int(codes.max()))
+        # The queries climb past the staircase's midpoint: past 255 at
+        # 9 bits.
+        assert top > (tables.tdc.code_breaks.shape[0] + 1) // 2
+
 
 def _assert_bits_equal(actual, expected, label=""):
     """Bit-for-bit equality: the int64 views compare +-inf, NaN and
@@ -299,7 +547,7 @@ class TestBuildMatchesLiveOracles:
             "dynamic_energy": energy.dynamic_energy(grid),
         }
         for channel, table in expected.items():
-            _assert_bits_equal(tables._tables[channel], table, channel)
+            _assert_bits_equal(tables._tables[channel].T, table, channel)
 
     @pytest.mark.parametrize(
         "dies,corner,temperature_c,counter_bits",
@@ -314,24 +562,50 @@ class TestBuildMatchesLiveOracles:
             if counter_bits is None
             else ControllerConfig(tdc=TdcConfig(counter_bits=counter_bits))
         )
-        population = _build_population(
-            library, dies, corner, temperature_c, config=config
+        tdc = _assert_tdc_breaks_match_reference(
+            library, dies, corner, temperature_c, config
         )
-        v_max = config.power_stage.battery_voltage
-        tdc = ResponseTables.from_population(population, config).tdc
-        breaks = _reference_breaks(
-            population.sensor_devices,
-            temperature_c,
-            config.tdc,
-            np.asarray(population.expected_counts, dtype=float),
-            v_max,
-        )
-        _assert_bits_equal(tdc.code_breaks, breaks[:, :-2], "code_breaks")
-        _assert_bits_equal(tdc.positive_break, breaks[:, -2], "positive")
-        _assert_bits_equal(tdc.saturation_break, breaks[:, -1], "saturation")
         if counter_bits is not None:
             # The saturating counter leaves codes that can never fire.
-            assert np.isposinf(tdc.code_breaks).all(axis=0).any()
+            assert np.isposinf(tdc.code_breaks).all(axis=1).any()
+
+    def test_tdc_breaks_match_reference_bisection_at_9_bit_resolution(
+        self, library
+    ):
+        """512 levels: the count -> code map is built over many blocks
+        of counts.  A 12-bit counter keeps the reference's one-shot
+        (max_count + 1, levels) map at 16 MiB."""
+        config = ControllerConfig(
+            resolution_bits=9, tdc=TdcConfig(counter_bits=12)
+        )
+        tdc = _assert_tdc_breaks_match_reference(
+            library, 7, "FS", 60.0, config
+        )
+        assert tdc.code_breaks.shape == (511, 7)
+        assert np.isfinite(tdc.code_breaks).all(axis=1).sum() > 255
+
+
+def _assert_tdc_breaks_match_reference(
+    library, dies, corner, temperature_c, config
+):
+    """Build a population's TDC breaks and pin them bit for bit to the
+    unblocked reference bisection; returns the built tables."""
+    population = _build_population(
+        library, dies, corner, temperature_c, config=config
+    )
+    v_max = config.power_stage.battery_voltage
+    tdc = ResponseTables.from_population(population, config).tdc
+    breaks = _reference_breaks(
+        population.sensor_devices,
+        temperature_c,
+        config.tdc,
+        np.asarray(population.expected_counts, dtype=float),
+        v_max,
+    )
+    _assert_bits_equal(tdc.code_breaks.T, breaks[:, :-2], "code_breaks")
+    _assert_bits_equal(tdc.positive_break, breaks[:, -2], "positive")
+    _assert_bits_equal(tdc.saturation_break, breaks[:, -1], "saturation")
+    return tdc
 
 
 # (dies, corner, temperature) of the exact-response oracle tests: a cold,
