@@ -93,8 +93,6 @@ per-cycle growth), so the full nominal horizon is extrapolated from a
 bounded recording instead of crawled through — the PR-5 RECORD run
 spent 437 s here for a number a fifth of the cycles reproduces."""
 
-PERSISTENT_CHUNK = 50
-"""Chunk size of the persistent fleet's chunked-dispatch measurement."""
 TELEMETRY_MEMORY_BOUND = 256 * 1024 * 1024
 """Fixed telemetry budget (bytes) the streaming long run must fit in."""
 
@@ -240,8 +238,8 @@ def _persistent_fleet_bench(library, reference_lut):
     RECORD-gated bar.
 
     Forced ``FLEET_WORKERS``-worker numbers (the geometry the cold
-    sweeps use, oversubscribed on small containers) and a chunked
-    dispatch measurement ride along for transparency.
+    sweeps use, oversubscribed on small containers) ride along for
+    transparency.
     """
     samples = MonteCarloSampler(seed=23).draw_arrays(FLEET_BENCH_DIES)
     population = BatchPopulation.from_samples(library, samples)
@@ -257,8 +255,8 @@ def _persistent_fleet_bench(library, reference_lut):
     )
 
     def persistent(workers):
-        """Best seconds of the warm single engine and the fleet's run
-        and chunked run, interleaved round by round."""
+        """Best seconds of the warm single engine and the fleet's run,
+        interleaved round by round."""
         fleet = FleetEngine(
             population,
             reference_lut,
@@ -274,11 +272,6 @@ def _persistent_fleet_bench(library, reference_lut):
                     "run": timed(
                         lambda: fleet.run(arrivals, FLEET_BENCH_CYCLES)
                     ),
-                    "chunked": timed(
-                        lambda: fleet.run_chunked(
-                            arrivals, FLEET_BENCH_CYCLES, PERSISTENT_CHUNK
-                        )
-                    ),
                 },
                 rounds=3,
             )
@@ -293,18 +286,14 @@ def _persistent_fleet_bench(library, reference_lut):
     return {
         "dies": FLEET_BENCH_DIES,
         "system_cycles": FLEET_BENCH_CYCLES,
-        "chunk_cycles": PERSISTENT_CHUNK,
         "resolved_workers": resolved,
         "single_warm_seconds": single_seconds,
         "single_warm_die_cycles_per_second": die_cycles / single_seconds,
         "process_seconds": own["run"],
         "process_overhead": own["run"] / single_seconds,
-        "process_chunked_seconds": own["chunked"],
-        "process_chunked_overhead": own["chunked"] / single_seconds,
         "forced_workers": FLEET_WORKERS,
         "forced_process_seconds": forced["run"],
         "forced_process_overhead": forced["run"] / forced["single"],
-        "forced_process_chunked_seconds": forced["chunked"],
     }
 
 
@@ -880,7 +869,6 @@ def test_bench_record_has_persistent_section():
         "single_warm_seconds",
         "process_seconds",
         "process_overhead",
-        "process_chunked_overhead",
         "forced_workers",
         "forced_process_overhead",
     ):

@@ -25,6 +25,7 @@ from repro.devices.variation import MonteCarloSampler
 from repro.engine import (
     BatchEngine,
     BatchPopulation,
+    BatchTrace,
     FleetConfig,
     FleetEngine,
 )
@@ -120,9 +121,9 @@ def test_persistent_dispatch_not_slower_than_cold(smoke_setup, executor):
 
 
 def test_persistent_process_fleet_bit_identity(library, reference_lut):
-    """Always-run parity smoke: one resident process fleet, reused and
-    chunk-dispatched across resets, stays bit-identical to a cold
-    single-shard engine."""
+    """Always-run parity smoke: one resident process fleet, reused
+    across a reset and split over two sequential runs, stays
+    bit-identical to a cold single-shard engine."""
     samples = MonteCarloSampler(seed=59).draw_arrays(PARITY_DIES)
     population = BatchPopulation.from_samples(library, samples)
     arrivals = constant_arrival_matrix(
@@ -142,8 +143,13 @@ def test_persistent_process_fleet_bit_identity(library, reference_lut):
     ) as fleet:
         first = fleet.run(arrivals, PARITY_CYCLES)
         fleet.reset()
-        chunked = fleet.run_chunked(arrivals, PARITY_CYCLES, 17)
-        for result in (first, chunked):
+        split = BatchTrace.concatenate(
+            [
+                fleet.run(arrivals[:, :17], 17),
+                fleet.run(arrivals[:, 17:], PARITY_CYCLES - 17),
+            ]
+        )
+        for result in (first, split):
             for channel in PARITY_CHANNELS:
                 np.testing.assert_array_equal(
                     getattr(result, channel),

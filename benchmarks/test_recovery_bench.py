@@ -3,11 +3,13 @@
 Two same-host, relative measurements (no absolute wall-clock bars):
 
 * **crash recovery** — a 2-worker process fleet with one injected
-  worker crash (shard 0, first round) must finish within
-  ``RECOVERY_OVERHEAD_BAR``x of the fault-free run *and* produce
-  bit-identical telemetry.  The overhead is one respawn (fork + shm
-  re-attach) plus the replay of the rounds recorded before the crash —
-  crashing in round one makes the respawn cost itself the measurement.
+  worker crash (shard 0, first run of the lap) must finish within
+  ``RECOVERY_OVERHEAD_BAR``x of the fault-free lap *and* produce
+  bit-identical telemetry.  A lap is ``CYCLES // CHUNK`` sequential
+  runs of ``CHUNK`` cycles, each its own recovery snapshot, so the
+  overhead is one respawn (fork + shm re-attach) plus the replay of
+  the one ``CHUNK``-cycle run the crash hit — the respawn cost itself
+  is the measurement.
 * **degraded serial** — a service whose process rung is force-failed
   must keep serving from the serial rung, bit-identical
   to direct execution, and its degraded throughput is recorded so the
@@ -31,7 +33,12 @@ from repro import faults
 from repro.circuits.loads import DigitalLoad
 from repro.core.rate_controller import program_lut_for_load
 from repro.devices.variation import MonteCarloSampler
-from repro.engine import BatchPopulation, FleetConfig, FleetEngine
+from repro.engine import (
+    BatchPopulation,
+    BatchTrace,
+    FleetConfig,
+    FleetEngine,
+)
 from repro.faults import FaultPlan, FaultSpec, RecoveryPolicy
 from repro.service import (
     ResiliencePolicy,
@@ -93,7 +100,7 @@ def _process_fleet(population, reference_lut):
 
 @pytest.fixture(scope="module")
 def recovery_bench(population, reference_lut):
-    """Time a fault-free and a crash-recovered process-fleet run once.
+    """Time fault-free and crash-recovered process-fleet laps.
 
     Both passes use warm (already spawned) workers so the comparison
     isolates the recovery machinery: fence + respawn + re-attach +
@@ -103,14 +110,22 @@ def recovery_bench(population, reference_lut):
     arrivals = rng.integers(0, 3, size=(DIES, CYCLES))
 
     # Same-host wall-clock is noisy (multi-second swings under load),
-    # so both sides take the min over repeated laps.  A lap is always
-    # the *second* run of a freshly warmed fleet: warm-up covers cycles
-    # 0..CYCLES, the timed lap cycles CYCLES..2*CYCLES on continued
-    # state, so every lap computes the identical workload.
+    # so both sides take the min over repeated laps.  A timed lap is
+    # always the *second* lap of a freshly warmed fleet: warm-up covers
+    # cycles 0..CYCLES, the timed lap cycles CYCLES..2*CYCLES on
+    # continued state, so every lap computes the identical workload.
+    def lap(fleet):
+        return BatchTrace.concatenate(
+            [
+                fleet.run(arrivals[:, lo:lo + CHUNK], CHUNK)
+                for lo in range(0, CYCLES, CHUNK)
+            ]
+        )
+
     def timed_lap(fleet):
-        fleet.run_chunked(arrivals, CYCLES, CHUNK)  # warm spawn
+        lap(fleet)  # warm spawn
         start = time.perf_counter()
-        trace = fleet.run_chunked(arrivals, CYCLES, CHUNK)
+        trace = lap(fleet)
         return trace, time.perf_counter() - start
 
     fault_free_laps = []
@@ -122,8 +137,9 @@ def recovery_bench(population, reference_lut):
 
     # Process workers receive the fault plan at spawn time, so it must
     # be installed before the fleet is built; arming the crash at
-    # cycle=CYCLES targets the timed lap, not the warm-up (the spec
-    # budget is per worker, so each fresh fleet crashes exactly once).
+    # cycle=CYCLES targets the timed lap's first run, not the warm-up
+    # (the spec budget is per worker, so each fresh fleet crashes
+    # exactly once).
     faults.install(
         FaultPlan(
             (FaultSpec(kind="crash", shard=0, cycle=CYCLES, times=1),)

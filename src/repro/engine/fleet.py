@@ -14,11 +14,11 @@ executor backend chosen by :attr:`FleetConfig.executor`:
   otherwise serialise.
 
 Process workers are **resident**: they start on the first run, stay
-pinned to a fixed shard subset, and every subsequent call costs only
-one lightweight command/ack round-trip per worker — no pool
-construction, no state re-fan-out.  :meth:`FleetEngine.run_chunked`
-splits a horizon into ``chunk``-cycle rounds (:meth:`FleetEngine.run`
-is its one-chunk case), and :meth:`FleetEngine.reset` returns a live
+pinned to a fixed shard subset, and every :meth:`FleetEngine.run` costs
+only one lightweight command/ack round-trip per worker — no pool
+construction, no state re-fan-out.  Sequential runs continue the
+fleet's state exactly, so a caller that wants checkpoints splits a
+horizon over several runs, and :meth:`FleetEngine.reset` returns a live
 fleet to its cold-construction state (optionally swapping in a new
 same-size population) so one fleet serves many logically independent
 runs — bit-identically to building a fresh fleet each time.
@@ -41,6 +41,10 @@ by :attr:`FleetConfig.telemetry`:
   online reducers, merged per die; memory stays bounded however long
   the run is,
 * ``"null"`` — no telemetry; only the engine state totals survive.
+
+Every run gets fresh sinks: when a horizon is split over several runs,
+each run's trace or reducers cover that run only, while the state
+totals (:meth:`FleetEngine.total_energy`, ...) cover the whole horizon.
 """
 
 from __future__ import annotations
@@ -103,10 +107,11 @@ class FleetConfig:
     recovery: Optional[RecoveryPolicy] = None
     """Worker supervision and recovery (:mod:`repro.faults`).  ``None``
     keeps every backend fail-fast (one failed shard kills the run); a
-    :class:`~repro.faults.RecoveryPolicy` arms dead/hung-worker
-    detection, respawn and epoch replay on the process backend and
-    snapshot-and-retry on the serial backend — recovered runs
-    stay bit-identical to fault-free ones."""
+    :class:`~repro.faults.RecoveryPolicy` snapshots the state at the
+    start of each run and arms dead/hung-worker detection, respawn and
+    replay of the failed run command on the process backend, and
+    snapshot-and-retry on the serial backend — recovered runs stay
+    bit-identical to fault-free ones."""
 
     def __post_init__(self) -> None:
         if self.shard_size is not None and self.shard_size <= 0:
@@ -180,7 +185,7 @@ class FleetEngine:
         self._closed = False
         self._proc = None
         # Per-run attribution for the observability layer: populated by
-        # run()/run_chunked() with {"shard_run_s": {shard: seconds},
+        # run() with {"shard_run_s": {shard: seconds},
         # "worker_roundtrip_s": {worker: seconds}} — engine-run seconds
         # per shard, dispatch→ack seconds per process worker (none on
         # the serial backend).  Pure observation: nothing reads it back
@@ -394,9 +399,9 @@ class FleetEngine:
     ) -> None:
         """Re-attempt failed shards inline until done or out of budget.
 
-        ``rerun`` must restore the shard from its epoch snapshot and
-        replay everything the epoch has executed so far for that shard;
-        each re-attempt counts against ``recovery.max_restarts``.
+        ``rerun`` must restore the shard from the run's snapshot and
+        run it again; each re-attempt counts against
+        ``recovery.max_restarts``.
         """
         attempts = 0
         while errors:
@@ -420,14 +425,9 @@ class FleetEngine:
     def _adopt_proc_timings(self) -> None:
         """Copy the process backend's per-run timing attribution (shipped
         in its command acks — no extra IPC) into :attr:`last_timings`."""
-        backend = self._proc
-        if backend is None:
-            return
         self.last_timings = {
-            "shard_run_s": dict(getattr(backend, "last_shard_runs", {})),
-            "worker_roundtrip_s": dict(
-                getattr(backend, "last_roundtrips", {})
-            ),
+            "shard_run_s": dict(self._proc.last_shard_runs),
+            "worker_roundtrip_s": dict(self._proc.last_roundtrips),
         }
 
     def run(
@@ -444,58 +444,28 @@ class FleetEngine:
         callable is evaluated exactly once), so the sharded run consumes
         inputs identical to a single-shard run; results are merged in
         shard order, making the output independent of the executor
-        backend.  The one-chunk case of :meth:`run_chunked`.
-        """
-        return self.run_chunked(
-            arrivals,
-            system_cycles,
-            system_cycles,
-            scheduled_codes=scheduled_codes,
-        )
+        backend.
 
-    def run_chunked(
-        self,
-        arrivals: ArrivalsLike,
-        system_cycles: int,
-        chunk: int,
-        scheduled_codes: Optional[np.ndarray] = None,
-    ):
-        """Run ``system_cycles`` cycles in rounds of ``chunk`` cycles.
-
-        Equivalent to one :meth:`run` call over the full horizon — bit
-        for bit, on every backend and telemetry mode — but each shard
-        command advances up to ``chunk`` system cycles, so a process
-        fleet pays one worker round-trip per chunk.  Arrivals and
-        schedules are normalised once for the whole horizon and
-        column-sliced per chunk (engine state carries across chunks
-        natively, exactly like sequential ``run`` calls).
-
-        Telemetry: dense chunks are stitched with
-        :meth:`BatchTrace.concatenate`; streaming sinks accumulate
-        across chunks (inside the worker, on the process backend) and
-        ship results once, on the final chunk.
+        One run is one command round per process worker and, with a
+        recovery policy, one state snapshot: a failed shard is restored
+        from it and run again.  Sequential runs continue the state
+        exactly, so splitting a horizon over runs gives finer recovery
+        checkpoints; each run's sinks are fresh (see the module
+        docstring).
         """
         matrix, schedule = self._prepare(
             arrivals, system_cycles, scheduled_codes
         )
-        chunk = int(chunk)
-        if chunk <= 0:
-            raise ValueError("chunk must be positive")
         self._reset_timings()
-        bounds = tuple(
-            (lo, min(lo + chunk, system_cycles))
-            for lo in range(0, system_cycles, chunk)
-        )
         if self._proc is not None:
             # Worker processes mutate the shared state in place; a
             # failed run leaves it half-advanced, so tear the fleet
             # down (unlinking the shared segments) rather than let a
             # corrupt population be run again.
             try:
-                results = self._proc.run_chunked(
+                results = self._proc.run(
                     matrix,
                     schedule,
-                    bounds,
                     self.fleet.telemetry,
                     self.fleet.stream_window,
                     min(self.fleet.resolved_workers(), self.num_shards),
@@ -505,7 +475,6 @@ class FleetEngine:
                 raise
             self._adopt_proc_timings()
             return self._merge(results)
-        dense = self.fleet.telemetry == "dense"
         recovery = self.fleet.recovery
         injector = shared_injector() if recovery is not None else None
         snapshots = (
@@ -513,64 +482,41 @@ class FleetEngine:
             if recovery is None
             else [engine.state.snapshot() for engine in self.engines]
         )
-        errors: Dict[int, Exception] = {}
-        pieces: list = [[] for _ in range(self.num_shards)]
-        sinks = (
-            None if dense else [self._make_sink() for _ in self.engines]
-        )
         results: list = [None] * self.num_shards
-
         run_seconds = self.last_timings["shard_run_s"]
 
-        def run_one(index: int, lo: int, hi: int) -> None:
+        def run_one(index: int) -> None:
             self._poll_shard_fault(injector, index)
             where = self.shard_slices[index]
             t_run = time.perf_counter()
-            out = self.engines[index].run(
-                matrix[where, lo:hi],
-                hi - lo,
+            results[index] = self.engines[index].run(
+                matrix[where],
+                system_cycles,
                 scheduled_codes=(
-                    None if schedule is None else schedule[where, lo:hi]
+                    None if schedule is None else schedule[where]
                 ),
-                sink=self._make_sink() if dense else sinks[index],
+                sink=self._make_sink(),
             )
-            run_seconds[index] = run_seconds.get(index, 0.0) + (
-                time.perf_counter() - t_run
-            )
-            if dense:
-                pieces[index].append(out)
-            else:
-                results[index] = out
+            run_seconds[index] = time.perf_counter() - t_run
 
-        for k, (lo, hi) in enumerate(bounds):
-            for index in range(self.num_shards):
-                try:
-                    run_one(index, lo, hi)
-                except Exception as exc:
-                    # Captured (not raised) so the remaining shards
-                    # still run this round; fail-fast mode keeps the
-                    # propagate-immediately behaviour.
-                    if recovery is None:
-                        raise
-                    errors[index] = exc
-            if errors:
+        def rerun(index: int) -> None:
+            # The re-run consumes inputs identical to the original, so
+            # the recovered shard is bit-identical.
+            self.engines[index].state.restore(snapshots[index])
+            run_one(index)
 
-                def rerun(index: int, k: int = k) -> None:
-                    # Replay the whole epoch so far for this shard:
-                    # restore its state snapshot, drop its accumulated
-                    # telemetry and re-run chunks 0..k in order — the
-                    # re-run consumes inputs identical to the original,
-                    # so the recovered shard is bit-identical.
-                    self.engines[index].state.restore(snapshots[index])
-                    pieces[index] = []
-                    if not dense:
-                        sinks[index] = self._make_sink()
-                    for lo2, hi2 in bounds[: k + 1]:
-                        run_one(index, lo2, hi2)
-
-                self._recover_shards(errors, recovery, rerun)
-        if dense:
-            results = [BatchTrace.concatenate(p) for p in pieces]
+        errors: Dict[int, Exception] = {}
+        for index in range(self.num_shards):
+            try:
+                run_one(index)
+            except Exception as exc:
+                # Captured (not raised) so the remaining shards still
+                # run; fail-fast mode keeps the propagate-immediately
+                # behaviour.
+                if recovery is None:
+                    raise
+                errors[index] = exc
+        self._recover_shards(errors, recovery, rerun)
         return self._merge(results)
 
     def reset(

@@ -26,13 +26,12 @@ Design:
   and stay pinned to a strided shard subset for the fleet's lifetime:
   worker ``w`` owns shards ``w, w+W, w+2W, ...`` and keeps its block
   attachments, rebuilt population/table views, shard engines and
-  worker-local scratch across calls.  Each call is one command message
+  worker-local scratch across calls.  Each run
+  (:meth:`ProcessFleetBackend.run`) is one command message
   (``("run", RunOrder)``) and one ack per worker over a
   :func:`multiprocessing.Pipe` — no pool construction, no per-run
-  re-fan-out of state.  Every run is chunked dispatch
-  (:meth:`ProcessFleetBackend.run_chunked`; a plain run is one chunk),
-  which keeps streaming sinks *inside* the workers between chunks
-  (``sink_mode`` keep/finish) so only the final chunk ships results.
+  re-fan-out of state.  Each command builds fresh sinks and ships
+  their results in the ack.
 * **Determinism.**  Arrivals are normalised once in the parent (arrival
   processes and Poisson matrices are drawn there, with per-die
   ``SeedSequence.spawn`` streams, so workers need no RNG), shards are
@@ -54,13 +53,14 @@ Design:
   command, so crash/raise/hang/slow/ack-corruption/attach faults fire
   deterministically at a shard:cycle point under both the fork and
   spawn start methods.  With a :class:`~repro.faults.RecoveryPolicy`
-  configured (``FleetConfig(recovery=...)``), the parent supervises the
-  command pipes (poll-with-timeout heartbeat), detects dead/hung/corrupt
-  workers, respawns them pinned to the same shards, rolls the failed
-  shards back to the epoch snapshot and replays the epoch's recorded
-  commands — the recovered run is **bit-identical** to a fault-free
-  one (pinned by the chaos axis of ``test_differential_fuzz.py``).
-  Without a policy the backend stays fail-fast.
+  configured (``FleetConfig(recovery=...)``), each run snapshots the
+  state block, and the parent supervises the command pipes
+  (poll-with-timeout heartbeat), detects dead/hung/corrupt workers,
+  respawns them pinned to the same shards, rolls the failed shards back
+  to the run's snapshot and replays the one run command that failed —
+  the recovered run is **bit-identical** to a fault-free one (pinned by
+  the chaos axis of ``test_differential_fuzz.py``).  Without a policy
+  the backend stays fail-fast.
 """
 
 from __future__ import annotations
@@ -361,30 +361,22 @@ class ProcFleetPayload:
     fault_plan: Optional[FaultPlan] = None
 
 
-SINK_MODES = ("fresh", "keep", "finish")
-"""How a worker handles telemetry sinks for one command: ``"fresh"``
-builds a new sink and ships its result (a plain run, or one dense
-chunk); ``"keep"`` feeds the shard's persistent sink and ships nothing
-(an intermediate streaming/null chunk); ``"finish"`` feeds the
-persistent sink one last time and ships the accumulated result."""
-
-
 @dataclass(frozen=True)
 class RunOrder:
-    """One worker's work order for one run (or chunk) command.
+    """One worker's work order for one run command.
 
     Covers every shard the worker is pinned to: ``arrivals`` and
     ``schedule`` map shard index to encoded row blocks (broadcast rows
-    collapse to a single row, see :func:`_encode_rows`).
+    collapse to a single row, see :func:`_encode_rows`; an unscheduled
+    run maps every shard to ``None``).
     """
 
     cycles: int
     arrivals: Dict[int, Tuple[str, np.ndarray]]
-    schedule: Optional[Dict[int, Tuple[str, np.ndarray]]]
+    schedule: Dict[int, Optional[Tuple[str, np.ndarray]]]
     telemetry: str
     stream_window: int
     scalars: dict
-    sink_mode: str = "fresh"
 
 
 def _encode_rows(
@@ -450,7 +442,7 @@ class _AckCorruption(Exception):
 
 
 class _WorkerRuntime:
-    """One resident worker's pinned world: blocks, engines, sinks.
+    """One resident worker's pinned world: blocks, engines.
 
     Lives for the worker process's whole life.  Block attachments,
     the rebuilt population/table views and the per-shard engines are
@@ -467,7 +459,6 @@ class _WorkerRuntime:
         self.population = None
         self.tables = None
         self.engines: Dict[int, object] = {}
-        self.sinks: Dict[int, object] = {}
         self.injector = (
             None
             if payload.fault_plan is None
@@ -631,19 +622,6 @@ class _WorkerRuntime:
         self.engines[index] = engine
         return engine
 
-    def _sink(self, index: int, order: RunOrder):
-        from repro.engine.trace import make_sink
-
-        if order.sink_mode == "fresh":
-            return make_sink(order.telemetry, order.stream_window)
-        sink = self.sinks.get(index)
-        if sink is None:
-            sink = make_sink(order.telemetry, order.stream_window)
-            self.sinks[index] = sink
-        if order.sink_mode == "finish":
-            self.sinks.pop(index, None)
-        return sink
-
     # -- command handlers ------------------------------------------------
     def handle(self, message: tuple) -> tuple:
         kind = message[0]
@@ -655,34 +633,30 @@ class _WorkerRuntime:
         raise RuntimeError(f"unknown fleet worker command {kind!r}")
 
     def _run(self, order: RunOrder) -> tuple:
+        from repro.engine.trace import make_sink
+
         start_cycle = int(order.scalars["cycles"])
         results: Dict[int, object] = {}
         scalars = None
-        # Per-shard engine-run seconds travel back as a 4th ack element,
-        # so the parent attributes process-worker time without any extra
-        # IPC.  Older-style consumers that unpack acks positionally by
-        # reply[1]/reply[2] keep working (the protocol check only
-        # requires len >= 2).
+        # Per-shard engine-run seconds travel back as the ack's 4th
+        # element, so the parent attributes process-worker time without
+        # any extra IPC.
         timings: Dict[int, float] = {}
         for index in self.indices:
             self._fault(index, start_cycle)
             engine = self._engine(index)
             engine.state.apply_scalars(order.scalars)
-            arrivals = _decode_rows(order.arrivals.get(index), engine.n)
-            schedule = _decode_rows(
-                None if order.schedule is None
-                else order.schedule.get(index),
-                engine.n,
-            )
+            arrivals = _decode_rows(order.arrivals[index], engine.n)
+            schedule = _decode_rows(order.schedule[index], engine.n)
             t_run = time.perf_counter()
             out = engine.run(
                 arrivals,
                 order.cycles,
                 scheduled_codes=schedule,
-                sink=self._sink(index, order),
+                sink=make_sink(order.telemetry, order.stream_window),
             )
             timings[index] = time.perf_counter() - t_run
-            results[index] = None if order.sink_mode == "keep" else out
+            results[index] = out
             scalars = engine.state.scalar_fields()
         return ("ok", results, scalars, timings)
 
@@ -691,15 +665,14 @@ class _WorkerRuntime:
 
         The parent refreshed the shared device/table arrays in place
         before sending this command, so only the derived caches —
-        population wrapper, table wrapper, shard engines, persistent
-        sinks — need rebuilding; the block attachments (and the shard
-        pinning) survive.
+        population wrapper, table wrapper, shard engines — need
+        rebuilding; the block attachments (and the shard pinning)
+        survive.
         """
         self.payload = payload
         self.population = None
         self.tables = None
         self.engines.clear()
-        self.sinks.clear()
 
     def teardown(self) -> None:
         for block in self.blocks.values():
@@ -711,9 +684,11 @@ def _worker_main(conn, payload: ProcFleetPayload, indices) -> None:
     """Entry point of one resident worker process.
 
     A strict request/reply loop: receive a command, reply exactly once
-    — ``("ok", results, scalars)`` or ``("error", exception)`` — and
-    park on the pipe again.  Exits on the ``("close",)`` command or
-    when the parent's end of the pipe goes away.
+    — ``("ok", results, scalars, timings)`` to a run,
+    ``("ok", None, None)`` to a control command, or
+    ``("error", exception)`` — and park on the pipe again.  Exits on
+    the ``("close",)`` command or when the parent's end of the pipe
+    goes away.
     """
     runtime = _WorkerRuntime(payload, indices)
     try:
@@ -762,26 +737,6 @@ class _ResidentWorker:
     indices: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _RoundRecord:
-    """One dispatched run round, as replayed during recovery.
-
-    Together with the epoch-start state snapshot this is everything a
-    replacement worker needs to reproduce its shards bit-identically:
-    the arrival/schedule row blocks are re-sliced from the recorded
-    matrices, and the recorded start scalars make each replayed command
-    byte-equal to the original.
-    """
-
-    matrix: Optional[np.ndarray]
-    system_cycles: int
-    schedule: Optional[np.ndarray]
-    telemetry: str
-    stream_window: int
-    sink_mode: str
-    scalars: dict
-
-
 _DRAIN_TIMEOUT_S = 30.0
 """Bound on draining the *remaining* acks of a round once one worker
 has already failed — the fleet is coming down (or into recovery), so a
@@ -821,11 +776,9 @@ class ProcessFleetBackend:
         self._closed = False
         self._recovery = recovery
         self._restarts = 0
-        self._epoch_rounds: List[_RoundRecord] = []
-        self._epoch_snapshot: Optional[Dict[str, np.ndarray]] = None
         # Per-run timing attribution (observability): worker-reported
         # engine-run seconds per shard and parent-side send→ack seconds
-        # per worker position.  Reset at each run/run_chunked entry.
+        # per worker position.  Reset at each run.
         self.last_shard_runs: Dict[int, float] = {}
         self.last_roundtrips: Dict[int, float] = {}
         self.blocks: Dict[str, SharedArrayBlock] = {}
@@ -1079,9 +1032,9 @@ class ProcessFleetBackend:
             # drain in worker order, so later positions include any wait
             # for earlier drains — the parent's actual view of the
             # round-trip).
-            self.last_roundtrips[position] = self.last_roundtrips.get(
-                position, 0.0
-            ) + (time.perf_counter() - sent_at[position])
+            self.last_roundtrips[position] = (
+                time.perf_counter() - sent_at[position]
+            )
             replies[position] = reply
             if reply[0] != "ok":
                 degraded = True
@@ -1102,42 +1055,52 @@ class ProcessFleetBackend:
         """One fail-fast command round (reset and other control traffic)."""
         return self._require_ok(self._round_replies(messages))
 
-    def _run_round(
+    def run(
         self,
         matrix: np.ndarray,
-        system_cycles: int,
         schedule: Optional[np.ndarray],
         telemetry: str,
         stream_window: int,
-        sink_mode: str,
+        workers: int,
     ) -> list:
-        """Dispatch one run command to every worker; merge shard order."""
-        scalars = self._engines[0].state.scalar_fields()
+        """Run the horizon as one command round; merge in shard order.
+
+        Each worker advances its pinned shards by ``matrix``'s cycles
+        and ships fresh sink results in its ack.  With a recovery
+        policy the state block is snapshotted first, so a failed worker
+        can be fenced, its shard rows restored and the same command
+        replayed (:meth:`_recover`).
+        """
+        self._ensure_workers(workers)
+        self.last_shard_runs = {}
+        self.last_roundtrips = {}
+        snapshot = None
         if self._recovery is not None:
-            self._epoch_rounds.append(
-                _RoundRecord(
-                    matrix=matrix,
-                    system_cycles=system_cycles,
-                    schedule=schedule,
+            snapshot = {
+                name: np.array(view)
+                for name, view in self.blocks["state"].views().items()
+            }
+        scalars = self._engines[0].state.scalar_fields()
+        messages = [
+            (
+                "run",
+                RunOrder(
+                    cycles=matrix.shape[1],
+                    arrivals={
+                        i: _encode_rows(matrix, self._shard_slices[i])
+                        for i in worker.indices
+                    },
+                    schedule={
+                        i: _encode_rows(schedule, self._shard_slices[i])
+                        for i in worker.indices
+                    },
                     telemetry=telemetry,
                     stream_window=stream_window,
-                    sink_mode=sink_mode,
-                    scalars=dict(scalars),
-                )
+                    scalars=scalars,
+                ),
             )
-        messages = []
-        for worker in self._workers:
-            order = self._order_for(
-                worker.indices,
-                matrix,
-                system_cycles,
-                schedule,
-                telemetry,
-                stream_window,
-                scalars,
-                sink_mode,
-            )
-            messages.append(("run", order))
+            for worker in self._workers
+        ]
         replies = self._round_replies(messages)
         failed = [
             position
@@ -1147,99 +1110,55 @@ class ProcessFleetBackend:
         if failed:
             if self._recovery is None:
                 self._require_ok(replies)
-            replies = self._recover(failed, replies)
+            self._recover(failed, replies, messages, snapshot)
         results: Dict[int, object] = {}
-        final_scalars = None
-        for reply in replies:
-            # Run acks are ("ok", results, scalars, timings); control
-            # acks and pre-timing replays may be 3-tuples — the timing
-            # element is optional by protocol.
-            results.update(reply[1])
-            final_scalars = reply[2]
-            if len(reply) > 3 and reply[3]:
-                for index in sorted(reply[3]):
-                    self.last_shard_runs[index] = self.last_shard_runs.get(
-                        index, 0.0
-                    ) + reply[3][index]
+        for _, shard_results, final_scalars, timings in replies:
+            results.update(shard_results)
+            self.last_shard_runs.update(timings)
         for engine in self._engines:
             engine.state.apply_scalars(final_scalars)
         return [results[i] for i in range(len(self._shard_slices))]
 
-    def _order_for(
-        self,
-        indices: Tuple[int, ...],
-        matrix: Optional[np.ndarray],
-        system_cycles: int,
-        schedule: Optional[np.ndarray],
-        telemetry: str,
-        stream_window: int,
-        scalars: dict,
-        sink_mode: str,
-    ) -> RunOrder:
-        return RunOrder(
-            cycles=system_cycles,
-            arrivals={
-                i: _encode_rows(matrix, self._shard_slices[i])
-                for i in indices
-            },
-            schedule=(
-                None
-                if schedule is None
-                else {
-                    i: _encode_rows(schedule, self._shard_slices[i])
-                    for i in indices
-                }
-            ),
-            telemetry=telemetry,
-            stream_window=stream_window,
-            scalars=scalars,
-            sink_mode=sink_mode,
-        )
-
     # -- recovery -------------------------------------------------------
-    def _begin_epoch(self) -> None:
-        """Open a recovery epoch: snapshot the state block, clear rounds.
-
-        One epoch covers one ``run_chunked`` call.  The snapshot
-        plus the per-round records (:class:`_RoundRecord`) are what a
-        respawned worker replays, so a recovered run is bit-identical
-        to a fault-free one.
-        """
-        if self._recovery is None:
-            return
-        self._epoch_rounds = []
-        self._epoch_snapshot = {
-            name: np.array(view)
-            for name, view in self.blocks["state"].views().items()
-        }
-
     def _recover(
-        self, failed: Sequence[int], replies: List[tuple]
-    ) -> List[tuple]:
-        """Respawn every failed worker and replay its epoch.
+        self,
+        failed: Sequence[int],
+        replies: List[tuple],
+        messages: Sequence[tuple],
+        snapshot: Dict[str, np.ndarray],
+    ) -> None:
+        """Respawn every failed worker and replay its run command.
 
         Supervision state machine: a worker whose reply classified as
         error/dead/hung/corrupt is *suspect*; it is fenced (terminated
-        and joined) before its shard rows are rolled back to the epoch
+        and joined) before its shard rows are rolled back to the run's
         snapshot, then a fault-free replacement pinned to the same
-        shards replays the epoch's recorded rounds.  The final replayed
-        round's ack substitutes for the failed reply.  An exhausted
-        restart budget falls back to fail-fast: the original error
-        raises and the caller tears the fleet down (unlinking every
-        segment).
+        shards gets the one ``("run", order)`` that failed.  Its ack
+        substitutes for the failed reply in ``replies``, and the
+        position's round-trip grows by the fence, respawn and replay.
+        An exhausted restart budget falls back to fail-fast: the
+        original error raises and the caller tears the fleet down
+        (unlinking every segment).
         """
-        policy = self._recovery
         self._restarts += len(failed)
-        if self._restarts > policy.max_restarts:
+        if self._restarts > self._recovery.max_restarts:
             self._require_ok(replies)
         for position in failed:
+            t_fence = time.perf_counter()
             replies[position] = self._respawn_and_replay(
-                position, replies[position][1]
+                position, messages[position], snapshot, replies[position][1]
             )
-        return replies
+            # A worker whose pipe broke on send has no round-trip yet.
+            self.last_roundtrips[position] = self.last_roundtrips.get(
+                position, 0.0
+            ) + (time.perf_counter() - t_fence)
 
     def _respawn_and_replay(
-        self, position: int, cause: BaseException
+        self,
+        position: int,
+        message: tuple,
+        snapshot: Dict[str, np.ndarray],
+        cause: BaseException,
     ) -> tuple:
         worker = self._workers[position]
         # The suspect must be fully dead before its shard rows are
@@ -1258,102 +1177,27 @@ class ProcessFleetBackend:
             position, worker.indices, fault_free=True
         )
         self._workers[position] = replacement
-        self._restore_shards(worker.indices)
-        return self._replay(replacement, cause)
-
-    def _restore_shards(self, indices: Tuple[int, ...]) -> None:
-        """Roll the failed worker's shard rows back to the epoch start."""
         views = self.blocks["state"].views()
-        for index in indices:
+        for index in worker.indices:
             where = self._shard_slices[index]
-            for name, saved in self._epoch_snapshot.items():
+            for name, saved in snapshot.items():
                 views[name][where] = saved[where]
-
-    def _replay(
-        self, worker: _ResidentWorker, cause: BaseException
-    ) -> tuple:
-        """Re-run every recorded round of the epoch on the replacement.
-
-        Earlier rounds rebuild the worker-resident streaming sinks (and
-        re-advance the shard state); only the final round's results are
-        kept — for dense chunked runs the earlier replayed chunks are
-        byte-equal to the results the original worker already shipped.
-        """
-        timeout = self._recovery.command_timeout_s
-        reply: Optional[tuple] = None
-        for record in self._epoch_rounds:
-            order = self._order_for(
-                worker.indices,
-                record.matrix,
-                record.system_cycles,
-                record.schedule,
-                record.telemetry,
-                record.stream_window,
-                record.scalars,
-                record.sink_mode,
-            )
-            try:
-                worker.conn.send(("run", order))
-            except (BrokenPipeError, OSError) as exc:
-                raise RuntimeError(
-                    "fleet recovery failed: replacement worker "
-                    f"{worker.process.name} is gone: {exc}"
-                ) from cause
-            reply = self._recv_reply(worker, timeout)
-            if reply[0] != "ok":
-                error = reply[1]
-                raise RuntimeError(
-                    "fleet recovery failed: replay on replacement "
-                    f"worker {worker.process.name} failed: {error}"
-                ) from cause
-        assert reply is not None  # an epoch always has >= 1 round
+        try:
+            replacement.conn.send(message)
+        except (BrokenPipeError, OSError) as exc:
+            raise RuntimeError(
+                "fleet recovery failed: replacement worker "
+                f"{replacement.process.name} is gone: {exc}"
+            ) from cause
+        reply = self._recv_reply(
+            replacement, self._recovery.command_timeout_s
+        )
+        if reply[0] != "ok":
+            raise RuntimeError(
+                "fleet recovery failed: replay on replacement "
+                f"worker {replacement.process.name} failed: {reply[1]}"
+            ) from cause
         return reply
-
-    def run_chunked(
-        self,
-        matrix: np.ndarray,
-        schedule: Optional[np.ndarray],
-        bounds: Sequence[Tuple[int, int]],
-        telemetry: str,
-        stream_window: int,
-        workers: int,
-    ) -> list:
-        """Run the horizon in chunks, one command round-trip per chunk.
-
-        Dense chunks ship results every round and the parent stitches
-        them; streaming/null chunks keep the sink inside the worker
-        (``sink_mode="keep"``) and ship results only on the final chunk
-        (``"finish"``) — zero per-chunk result traffic.
-        """
-        self._ensure_workers(workers)
-        self.last_shard_runs = {}
-        self.last_roundtrips = {}
-        self._begin_epoch()
-        dense = telemetry == "dense"
-        pieces: List[list] = [[] for _ in self._shard_slices]
-        results: Optional[list] = None
-        last = len(bounds) - 1
-        for k, (lo, hi) in enumerate(bounds):
-            chunk_results = self._run_round(
-                matrix[:, lo:hi],
-                hi - lo,
-                None if schedule is None else schedule[:, lo:hi],
-                telemetry,
-                stream_window,
-                sink_mode=(
-                    "fresh" if dense else ("finish" if k == last else "keep")
-                ),
-            )
-            if dense:
-                for index, out in enumerate(chunk_results):
-                    pieces[index].append(out)
-            else:
-                results = chunk_results
-        if dense:
-            from repro.engine.trace import BatchTrace
-
-            return [BatchTrace.concatenate(p) for p in pieces]
-        return results
 
     def reset(self, population, shared_tables=None) -> None:
         """Re-point the resident fleet at a replacement population.

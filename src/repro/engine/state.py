@@ -207,9 +207,8 @@ class BatchState:
         """Return a private deep copy of the full state (arrays + scalars).
 
         Fault recovery restores a failed shard from the snapshot taken
-        at epoch start and replays the epoch's commands; the copies are
-        plain in-memory arrays, independent of any shared-memory
-        backing.
+        at the start of its run and runs it again; the copies are plain
+        in-memory arrays, independent of any shared-memory backing.
         """
         arrays = {
             name: None if array is None else np.array(array)

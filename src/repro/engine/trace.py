@@ -169,8 +169,8 @@ class BatchTrace:
     def concatenate(cls, traces) -> "BatchTrace":
         """Stitch sequential runs of the same population into one trace.
 
-        A single trace is returned as is: a one-chunk run has nothing
-        to stitch, so it pays no second copy.
+        A single trace is returned as is: there is nothing to stitch,
+        so it pays no second copy.
         """
         traces = list(traces)
         if not traces:

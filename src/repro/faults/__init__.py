@@ -25,9 +25,13 @@ means unlimited, and scope defaults per kind (``shm_attach`` implies
 
 Determinism note: fault *matching* is pure — a spec fires as a function
 of (scope, shard, start cycle, command, executor) and its remaining
-budget, never of wall clock or RNG.  The recovery layers built on top
-(``RecoveryPolicy`` in the fleet, ``ResiliencePolicy`` in the service)
-guarantee that a recovered run is bit-identical to a fault-free one.
+budget, never of wall clock or RNG.  Fleet shards poll at the start of
+each run, so a fleet-scope spec fires at the first run whose start
+cycle is at or after its ``cycle``; a caller that wants a fault
+mid-horizon splits the horizon over sequential runs.  The recovery
+layers built on top (``RecoveryPolicy`` in the fleet,
+``ResiliencePolicy`` in the service) guarantee that a recovered run is
+bit-identical to a fault-free one.
 
 Backend semantics: the process backend honors every kind (``crash`` is
 ``os._exit`` in the worker); the serial backend treats ``crash`` and
@@ -70,9 +74,10 @@ class FaultSpec:
     """One scheduled fault.
 
     ``shard=None`` matches any shard, ``cycle`` is the start cycle at or
-    after which the spec arms, ``times <= 0`` means an unlimited firing
-    budget, and ``executor`` restricts the spec to one backend
-    (``"process"``/``"serial"``/service mode names) so a
+    after which the spec arms (a fleet spec fires at the start of the
+    first run that begins at or after it), ``times <= 0`` means an
+    unlimited firing budget, and ``executor`` restricts the spec to one
+    backend (``"process"``/``"serial"``/service mode names) so a
     chaos plan can force-fail one rung of a degradation ladder without
     touching the others.
     """

@@ -97,13 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--chunk-cycles", type=int, default=None,
-        help=(
-            "system cycles per fleet worker round-trip (chunked "
-            "dispatch; default: whole horizon in one dispatch)"
-        ),
-    )
-    parser.add_argument(
         "--engine-cache", type=int, default=4,
         help=(
             "warm engines kept resident across ticks, 0 disables "
@@ -271,7 +264,6 @@ def serve(args: argparse.Namespace) -> int:
         cache_bytes=int(args.cache_mb * 1024 * 1024),
         execution=args.execution,
         workers=args.workers,
-        chunk_cycles=args.chunk_cycles,
         engine_cache=args.engine_cache,
         tick_interval_s=args.tick_interval,
         persist_dir=args.persist_dir,
@@ -561,7 +553,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cache_bytes=int(args.cache_mb * 1024 * 1024),
             execution=args.execution,
             workers=args.workers,
-            chunk_cycles=args.chunk_cycles,
             engine_cache=args.engine_cache,
             resilience=resilience,
             persist_dir=args.persist_dir,

@@ -145,12 +145,6 @@ class ServiceConfig:
     shard_size: Optional[int] = None
     """Fleet shard size (fleet execution modes only)."""
 
-    chunk_cycles: Optional[int] = None
-    """Fleet execution only: advance batches ``chunk_cycles`` system
-    cycles per worker round-trip (:meth:`FleetEngine.run_chunked`);
-    ``None`` runs each batch's full horizon in one dispatch.  Ignored by
-    ``"direct"`` execution (there is no dispatch to amortise)."""
-
     engine_cache: int = 4
     """Warm engines kept resident across ticks, keyed by
     ``(group_key, batch size)``.  A tick whose batch matches a warm
@@ -205,8 +199,6 @@ class ServiceConfig:
                 f"execution must be one of {EXECUTION_MODES}, "
                 f"got {self.execution!r}"
             )
-        if self.chunk_cycles is not None and self.chunk_cycles <= 0:
-            raise ValueError("chunk_cycles must be positive")
         if self.engine_cache < 0:
             raise ValueError("engine_cache must be non-negative")
         if self.resilience is not None and not isinstance(
@@ -1532,17 +1524,9 @@ class SimulationService:
         t1 = time.perf_counter()
         try:
             if is_fleet:
-                if self.config.chunk_cycles is not None:
-                    sink = engine.run_chunked(
-                        arrivals,
-                        first.cycles,
-                        self.config.chunk_cycles,
-                        scheduled_codes=schedule,
-                    )
-                else:
-                    sink = engine.run(
-                        arrivals, first.cycles, scheduled_codes=schedule
-                    )
+                sink = engine.run(
+                    arrivals, first.cycles, scheduled_codes=schedule
+                )
                 totals = self._state_totals(engine.engines)
             else:
                 sink = StreamingTrace(window=self.config.stream_window)

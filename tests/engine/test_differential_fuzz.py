@@ -46,6 +46,7 @@ from repro.devices.variation import MonteCarloSampler, VariationModel
 from repro.engine import (
     BatchEngine,
     BatchPopulation,
+    BatchTrace,
     FleetConfig,
     FleetEngine,
 )
@@ -470,13 +471,39 @@ def _fleet_totals(fleet):
     }
 
 
+def _columns(values, lo, hi):
+    """Cycles ``lo:hi`` of an arrivals/schedule argument (None, a
+    ``(cycles,)`` vector or a ``(dies, cycles)`` matrix)."""
+    return None if values is None else values[..., lo:hi]
+
+
+def _split_run(fleet, sc, split):
+    """Run the scenario's horizon as two runs split at cycle ``split``
+    (one run when ``split`` is 0).
+
+    Dense traces are stitched back into one horizon; any other sink
+    returns the last run's result (streaming sinks are per run)."""
+    results = [
+        fleet.run(
+            _columns(sc.arrivals, lo, hi),
+            hi - lo,
+            scheduled_codes=_columns(sc.schedule_codes, lo, hi),
+        )
+        for lo, hi in ((0, split), (split, sc.cycles))
+        if lo < hi
+    ]
+    if fleet.fleet.telemetry == "dense":
+        return BatchTrace.concatenate(results)
+    return results[-1]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_persistent_engine_reuse_bit_identical(seed, library, fuzz_lut):
-    """The engine-reuse axis: repeated ``run()``/``run_chunked()`` calls
-    on **one persistent FleetEngine** — with ``reset()`` population
-    swaps between calls — must stay bit-identical to fresh cold engines,
-    across every (device_model, executor, sink) combination the
-    backends support."""
+    """The engine-reuse axis: repeated ``run()`` calls on **one
+    persistent FleetEngine** — with ``reset()`` population swaps between
+    calls, and one horizon split over two runs — must stay
+    bit-identical to fresh cold engines, across every (device_model,
+    executor, sink) combination the backends support."""
     from types import SimpleNamespace
 
     runs = get_runs(seed, library, fuzz_lut)
@@ -501,7 +528,7 @@ def test_persistent_engine_reuse_bit_identical(seed, library, fuzz_lut):
             ),
         ),
     )
-    chunk = int(rng.integers(1, sc.cycles + 5))
+    split = int(rng.integers(1, sc.cycles))
 
     for combo in REUSE_COMBOS:
         telemetry = combo["telemetry"]
@@ -538,27 +565,33 @@ def test_persistent_engine_reuse_bit_identical(seed, library, fuzz_lut):
             )
 
         with build(runs.population) as persistent:
-            label = f"(reuse combo {combo}, chunk={chunk}) {message}"
+            label = f"(reuse combo {combo}, split={split}) {message}"
             first = _fingerprint(
                 one_run(persistent), _fleet_totals(persistent), telemetry
             )
             assert_totals_identical(reference, first, f"run 1 {label}")
 
-            # Swap populations on the live fleet; chunked dispatch must
-            # match the cold fleet's single-dispatch run bit for bit.
+            # Swap populations on the live fleet; the horizon split
+            # over two runs must match the cold fleet's single run bit
+            # for bit: every channel of a dense trace, and the state
+            # totals of any sink (a streaming run's reducers cover only
+            # that run).
             persistent.reset(population=swapped_population)
-            chunked = _fingerprint(
-                persistent.run_chunked(
-                    sc.arrivals,
-                    sc.cycles,
-                    chunk,
-                    scheduled_codes=sc.schedule_codes,
-                ),
+            split_print = _fingerprint(
+                _split_run(persistent, sc, split),
                 _fleet_totals(persistent),
                 telemetry,
             )
+            if telemetry == "streaming":
+                split_print = {
+                    key: value
+                    for key, value in split_print.items()
+                    if key.startswith("totals.")
+                }
             assert_totals_identical(
-                swapped_reference, chunked, f"swap+chunked {label}"
+                {key: swapped_reference[key] for key in split_print},
+                split_print,
+                f"swap+split {label}",
             )
 
             # Swap back: the third generation on the same residents.
@@ -583,9 +616,9 @@ def test_chaos_recovery_bit_identical(seed, library, fuzz_lut):
     run is bit-identical to the fault-free single-batch reference —
     and that every shared-memory segment is unlinked afterwards.
 
-    The fault cycle is aligned to a chunk boundary so the spec is
-    guaranteed to arm (workers poll at round start), making every seed
-    a real recovery exercise rather than a maybe."""
+    The horizon is split over two runs at the fault cycle, so the spec
+    is guaranteed to arm (faults are polled at a run's start), making
+    every seed a real recovery exercise rather than a maybe."""
     from repro import faults
 
     runs = get_runs(seed, library, fuzz_lut)
@@ -605,15 +638,14 @@ def test_chaos_recovery_bit_identical(seed, library, fuzz_lut):
     shard = (
         int(rng.integers(0, num_shards)) if rng.random() < 0.5 else None
     )
-    chunk = int(rng.integers(1, sc.cycles + 1))
-    cycle = (int(rng.integers(0, sc.cycles)) // chunk) * chunk
+    cycle = int(rng.integers(0, sc.cycles))
     # A hung process worker sleeps past the 5s command timeout and is
     # fenced + respawned; on the serial backend hang/crash degrade to
     # raises (the calling thread cannot be killed), slow to a sleep.
     seconds = 30.0 if kind == "hang" else 0.03
     label = (
         f"(chaos {kind}@{'*' if shard is None else shard}:{cycle}, "
-        f"executor={executor}, chunk={chunk}) {message}"
+        f"executor={executor}) {message}"
     )
 
     faults.install(
@@ -643,10 +675,7 @@ def test_chaos_recovery_bit_identical(seed, library, fuzz_lut):
             **sc.engine_kwargs(),
         ) as fleet:
             names = fleet.shared_block_names()
-            trace = fleet.run_chunked(
-                sc.arrivals, sc.cycles, chunk,
-                scheduled_codes=sc.schedule_codes,
-            )
+            trace = _split_run(fleet, sc, cycle)
             totals = _fleet_totals(fleet)
     finally:
         faults.clear()

@@ -6,7 +6,8 @@ schedules; this suite pins each supervision mechanism directly:
 * process backend: crash (worker ``os._exit``), hang (poll-timeout
   detection), corrupted ack and shared-memory attach failure are all
   fenced, the worker respawned fault-free, the failed shards restored
-  from the epoch snapshot and replayed — bit-identical to fault-free;
+  from the run's snapshot and the run command replayed — bit-identical
+  to fault-free;
 * the restart budget is enforced (exhaustion fails fast, segments
   unlinked);
 * ``close()`` cannot deadlock on a worker that hangs instead of
@@ -28,6 +29,7 @@ from repro.devices.variation import MonteCarloSampler
 from repro.engine import (
     BatchEngine,
     BatchPopulation,
+    BatchTrace,
     FleetConfig,
     FleetEngine,
 )
@@ -72,7 +74,8 @@ def clean_plan():
 
 
 def recovering_fleet(
-    population, reference_lut, executor="process", **recovery_kwargs
+    population, reference_lut, executor="process", telemetry="dense",
+    **recovery_kwargs
 ):
     recovery_kwargs.setdefault("max_restarts", 2)
     if executor == "process":
@@ -84,24 +87,33 @@ def recovering_fleet(
             executor=executor,
             shard_size=3,
             workers=2,
+            telemetry=telemetry,
             recovery=RecoveryPolicy(**recovery_kwargs),
         ),
     )
 
 
+def split_runs(fleet, arrivals, split):
+    """Run the horizon as two sequential runs split at cycle ``split``."""
+    first = fleet.run(arrivals[:, :split], split)
+    return first, fleet.run(arrivals[:, split:], CYCLES - split)
+
+
 def assert_recovers_bit_identical(
     population, reference_lut, arrivals, reference, plan,
-    executor="process", chunk=None, **recovery_kwargs
+    executor="process", split=None, **recovery_kwargs
 ):
     faults.install(plan)
     with recovering_fleet(
         population, reference_lut, executor, **recovery_kwargs
     ) as fleet:
         names = fleet.shared_block_names()
-        if chunk is None:
+        if split is None:
             trace = fleet.run(arrivals, CYCLES)
         else:
-            trace = fleet.run_chunked(arrivals, CYCLES, chunk)
+            trace = BatchTrace.concatenate(
+                split_runs(fleet, arrivals, split)
+            )
         energy = fleet.total_energy()
     expected_trace, expected_energy = reference
     np.testing.assert_array_equal(
@@ -127,13 +139,15 @@ class TestProcessRecovery:
             FaultPlan((FaultSpec(kind="crash", shard=1),)),
         )
 
-    def test_crash_mid_chunked_run(
+    def test_crash_mid_split_horizon(
         self, population, reference_lut, arrivals, reference
     ):
+        """The fault arms at cycle 20, so it fires on the second of two
+        runs split there; only that run is replayed."""
         assert_recovers_bit_identical(
             population, reference_lut, arrivals, reference,
             FaultPlan((FaultSpec(kind="crash", shard=0, cycle=20),)),
-            chunk=10,
+            split=20,
         )
 
     def test_hang_detected_by_command_timeout(
@@ -187,6 +201,46 @@ class TestProcessRecovery:
                 shared_memory.SharedMemory(name=name)
         with pytest.raises(RuntimeError, match="closed"):
             fleet.run(arrivals, CYCLES)
+
+    def test_recovered_roundtrip_covers_replay(
+        self, library, reference_lut
+    ):
+        """A recovered worker's round-trip includes its fence, respawn
+        and replay: every worker position's send→ack seconds cover the
+        engine-run seconds of the shards it owns (worker ``w`` of ``W``
+        owns ``w, w+W, ...``).  The shards run for tens of milliseconds,
+        so a crashed worker's send→EOF time alone falls short."""
+        dies, cycles, workers = 64, 200, 2
+        population = BatchPopulation.from_samples(
+            library, MonteCarloSampler(seed=41).draw_arrays(dies)
+        )
+        arrivals = np.random.default_rng(5).integers(
+            0, 3, size=(dies, cycles)
+        )
+        faults.install(FaultPlan((FaultSpec(kind="crash", shard=0),)))
+        with FleetEngine(
+            population,
+            reference_lut,
+            fleet=FleetConfig(
+                executor="process",
+                workers=workers,
+                recovery=RecoveryPolicy(
+                    max_restarts=1, command_timeout_s=30.0
+                ),
+            ),
+        ) as fleet:
+            fleet.run(arrivals, cycles)
+            timings = fleet.last_timings
+            assert fleet._proc._restarts == 1
+        shard_runs = timings["shard_run_s"]
+        assert sorted(timings["worker_roundtrip_s"]) == list(range(workers))
+        for position, roundtrip in timings["worker_roundtrip_s"].items():
+            owned = sum(
+                seconds
+                for index, seconds in shard_runs.items()
+                if index % workers == position
+            )
+            assert roundtrip >= owned, (position, timings)
 
     def test_budget_spans_backend_lifetime(
         self, population, reference_lut, arrivals, reference
@@ -253,6 +307,41 @@ class TestCloseNeverDeadlocks:
                 shared_memory.SharedMemory(name=name)
 
 
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_split_streaming_sink_recovery(
+    population, reference_lut, arrivals, executor
+):
+    """Streaming sinks are per run.  With a horizon split over two runs
+    and a fault recovered on the second, that run's reducers equal a
+    fault-free fleet's second run, and the state totals cover the
+    whole horizon."""
+
+    def two_runs():
+        with recovering_fleet(
+            population, reference_lut, executor, telemetry="streaming"
+        ) as fleet:
+            _, sink = split_runs(fleet, arrivals, 20)
+            return sink.die_reducers(), fleet.total_energy()
+
+    expected, expected_energy = two_runs()
+    faults.install(
+        FaultPlan(
+            (
+                FaultSpec(
+                    kind="raise" if executor == "serial" else "crash",
+                    shard=1,
+                    cycle=20,
+                ),
+            )
+        )
+    )
+    reducers, energy = two_runs()
+    assert set(reducers) == set(expected)
+    for name, value in expected.items():
+        np.testing.assert_array_equal(reducers[name], value, err_msg=name)
+    np.testing.assert_array_equal(energy, expected_energy)
+
+
 class TestSerialRecovery:
     def test_raise_recovers_bit_identical(
         self, population, reference_lut, arrivals, reference
@@ -262,42 +351,6 @@ class TestSerialRecovery:
             FaultPlan((FaultSpec(kind="raise", shard=1),)),
             executor="serial",
         )
-
-    def test_chunked_streaming_sink_recovery(
-        self, population, reference_lut, arrivals
-    ):
-        """Streaming sinks accumulate across chunks; recovery must
-        rebuild the failed shard's sink and re-run every completed
-        chunk, not just the failing one."""
-        with FleetEngine(
-            population,
-            reference_lut,
-            fleet=FleetConfig(
-                executor="serial", shard_size=3, workers=2,
-                telemetry="streaming",
-            ),
-        ) as baseline_fleet:
-            baseline = baseline_fleet.run_chunked(arrivals, CYCLES, 10)
-            expected = {
-                name: baseline.die_reducers()[name]
-                for name in ("final_voltage", "energy_per_operation")
-            }
-        faults.install(
-            FaultPlan((FaultSpec(kind="raise", shard=1, cycle=20),))
-        )
-        with FleetEngine(
-            population,
-            reference_lut,
-            fleet=FleetConfig(
-                executor="serial", shard_size=3, workers=2,
-                telemetry="streaming",
-                recovery=RecoveryPolicy(max_restarts=2),
-            ),
-        ) as fleet:
-            sink = fleet.run_chunked(arrivals, CYCLES, 10)
-        reducers = sink.die_reducers()
-        for name, value in expected.items():
-            np.testing.assert_array_equal(reducers[name], value)
 
     def test_serial_budget_exhaustion_raises_injected_error(
         self, population, reference_lut, arrivals

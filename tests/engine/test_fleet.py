@@ -320,14 +320,34 @@ class TestExecutorBackends:
             assert_bit_identical(second, fleet.run(arrivals[:, 60:], 60))
 
 
-class TestChunkedDispatch:
-    """run_chunked must equal one run() over the full horizon, bit for
-    bit, on every backend and telemetry mode."""
+def run_split(fleet, arrivals, run_cycles, scheduled_codes=None):
+    """Advance the horizon as sequential runs of ``run_cycles`` cycles."""
+    results = []
+    for start in range(0, CYCLES, run_cycles):
+        stop = min(start + run_cycles, CYCLES)
+        results.append(
+            fleet.run(
+                None if arrivals is None else arrivals[:, start:stop],
+                stop - start,
+                scheduled_codes=(
+                    None
+                    if scheduled_codes is None
+                    else scheduled_codes[start:stop]
+                ),
+            )
+        )
+    return results
+
+
+class TestSplitRuns:
+    """A horizon split over sequential run() calls must equal one run()
+    over the full horizon, bit for bit, on every backend and telemetry
+    mode; streaming sinks are per run, state totals span every run."""
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    @pytest.mark.parametrize("chunk", [1, 37, 120, 500])
-    def test_dense_chunked_matches_one_run(
-        self, population, reference_lut, arrivals, executor, chunk
+    @pytest.mark.parametrize("run_cycles", [1, 37, 64, 119])
+    def test_dense_split_matches_one_run(
+        self, population, reference_lut, arrivals, executor, run_cycles
     ):
         single = BatchEngine(population, lut=reference_lut).run(
             arrivals, CYCLES
@@ -338,43 +358,54 @@ class TestChunkedDispatch:
             fleet=FleetConfig(shard_size=3, workers=2, executor=executor),
         ) as fleet:
             assert_bit_identical(
-                single, fleet.run_chunked(arrivals, CYCLES, chunk)
-            )
-
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_streaming_chunked_matches_unchunked(
-        self, population, reference_lut, arrivals, executor
-    ):
-        def build():
-            return FleetEngine(
-                population,
-                reference_lut,
-                fleet=FleetConfig(
-                    shard_size=3, workers=2, executor=executor,
-                    telemetry="streaming", stream_window=16,
+                single,
+                BatchTrace.concatenate(
+                    run_split(fleet, arrivals, run_cycles)
                 ),
             )
 
-        with build() as fleet:
-            reference = fleet.run(arrivals, CYCLES)
-        with build() as fleet:
-            chunked = fleet.run_chunked(arrivals, CYCLES, 31)
-        for channel in ("output_voltages", "energies", "duty_values"):
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_streaming_split_sinks_cover_each_run(
+        self, population, reference_lut, arrivals, executor
+    ):
+        single = BatchEngine(population, lut=reference_lut)
+        expected = [
+            single.run(
+                arrivals[:, start:start + 60], 60,
+                sink=StreamingTrace(window=16),
+            )
+            for start in (0, 60)
+        ]
+        with FleetEngine(
+            population,
+            reference_lut,
+            fleet=FleetConfig(
+                shard_size=3, workers=2, executor=executor,
+                telemetry="streaming", stream_window=16,
+            ),
+        ) as fleet:
+            split = run_split(fleet, arrivals, 60)
             np.testing.assert_array_equal(
-                chunked.total(channel), reference.total(channel)
+                fleet.total_energy(), single.state.energy_total
+            )
+        for sink, reference in zip(split, expected):
+            assert sink.cycles == 60
+            for channel in ("output_voltages", "energies", "duty_values"):
+                np.testing.assert_array_equal(
+                    sink.total(channel), reference.total(channel)
+                )
+                np.testing.assert_array_equal(
+                    sink.tail(channel), reference.tail(channel)
+                )
+            np.testing.assert_array_equal(
+                sink.settle_cycle, reference.settle_cycle
             )
             np.testing.assert_array_equal(
-                chunked.tail(channel), reference.tail(channel)
+                sink.violation_cycles, reference.violation_cycles
             )
-        np.testing.assert_array_equal(
-            chunked.settle_cycle, reference.settle_cycle
-        )
-        np.testing.assert_array_equal(
-            chunked.violation_cycles, reference.violation_cycles
-        )
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_null_chunked_totals_match(
+    def test_null_split_totals_match(
         self, population, reference_lut, arrivals, executor
     ):
         single = BatchEngine(population, lut=reference_lut)
@@ -386,7 +417,7 @@ class TestChunkedDispatch:
                 shard_size=3, workers=2, executor=executor, telemetry="null"
             ),
         ) as fleet:
-            assert fleet.run_chunked(arrivals, CYCLES, 50) is None
+            assert run_split(fleet, arrivals, 50) == [None, None, None]
             np.testing.assert_array_equal(
                 fleet.total_energy(), single.state.energy_total
             )
@@ -394,7 +425,7 @@ class TestChunkedDispatch:
                 fleet.final_correction(), single.state.lut_correction
             )
 
-    def test_scheduled_chunked_matches_one_run(
+    def test_scheduled_split_matches_one_run(
         self, population, reference_lut
     ):
         codes = np.tile(
@@ -410,13 +441,10 @@ class TestChunkedDispatch:
         ) as fleet:
             assert_bit_identical(
                 single,
-                fleet.run_chunked(None, CYCLES, 41, scheduled_codes=codes),
+                BatchTrace.concatenate(
+                    run_split(fleet, None, 41, scheduled_codes=codes)
+                ),
             )
-
-    def test_chunk_must_be_positive(self, population, reference_lut):
-        fleet = FleetEngine(population, reference_lut)
-        with pytest.raises(ValueError):
-            fleet.run_chunked(None, 10, 0)
 
 
 class TestFleetReset:

@@ -305,19 +305,21 @@ class TestProcessFleetLifecycle:
             assert not worker.process.is_alive()
         assert_unlinked(names)
 
-    def test_worker_crash_mid_chunk_leaks_no_segments(
+    def test_worker_crash_mid_horizon_leaks_no_segments(
         self, population, reference_lut, arrivals, monkeypatch
     ):
-        """A fault armed for a later cycle fires on a mid-horizon chunk
-        — after earlier chunks already ran on live residents — and the
+        """A fault armed for a later cycle fires on a mid-horizon run
+        — after earlier runs already advanced live residents — and the
         teardown must still unlink every segment."""
         monkeypatch.setenv(FAULTS_ENV, "raise@1:20::0")
         fleet = make_process_fleet(population, reference_lut)
         names = fleet.shared_block_names()
-        # Chunks of 10 over 40 cycles: the fault arms at start cycle 20,
-        # so chunks 1-2 succeed and chunk 3 crashes the shard-1 worker.
+        # Runs of 10 cycles: the fault arms at start cycle 20, so runs
+        # 1-2 succeed and run 3 crashes the shard-1 worker.
+        for lo in (0, 10):
+            fleet.run(arrivals[:, lo:lo + 10], 10)
         with pytest.raises(RuntimeError, match="injected worker fault"):
-            fleet.run_chunked(arrivals, CYCLES, 10)
+            fleet.run(arrivals[:, 20:30], 10)
         assert_unlinked(names)
         with pytest.raises(RuntimeError, match="closed"):
             fleet.run(arrivals, CYCLES)

@@ -44,6 +44,10 @@ def test_invalid_arguments_fail_fast(capsys):
             main(["--execution", execution])
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--chunk-cycles", "10"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     parser = build_parser()
     assert parser.prog == "repro-serve"
 

@@ -133,6 +133,8 @@ class TestPolicyUnits:
     def test_config_rejects_non_policy(self):
         with pytest.raises(TypeError):
             ServiceConfig(resilience="retry-lots")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ServiceConfig(chunk_cycles=10)
         for execution in ("warp", "thread"):
             with pytest.raises(ValueError, match="execution must be one of"):
                 ServiceConfig(execution=execution)
